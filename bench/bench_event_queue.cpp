@@ -193,10 +193,11 @@ BENCHMARK(BM_HeapOnlyEventScheduleCancel);
 
 // --- adversarial distributions --------------------------------------
 //
-// The steady-state churn above is the wheel's best case: every delay
-// lands in the level-0 window. These distributions attack its weak
-// spots — far-future overflow, cancel-heavy churn, and a pure drain
-// with no interleaved schedules (min-scan cost with nothing amortizing
+// In the steady-state churn above every delay lands in the level-0
+// window, packed into a few buckets (the sorted insert's worst case at
+// depth). These distributions attack the wheel's other weak spots —
+// far-future overflow, cancel-heavy churn, and a pure drain with no
+// interleaved schedules (bucket bookkeeping with nothing amortizing
 // it). Each runs on the wheel, the heap-only layout, and the legacy
 // seed queue under the identical harness.
 
@@ -283,9 +284,9 @@ BENCHMARK(BM_LegacyEventCancelHeavy);
 
 /// Monotone drain: fill `n` events in random rank order, then drain
 /// the queue dry with no interleaved schedules. This is the coalesced
-/// link drain's access pattern (pop, pop, pop...) and the worst case
-/// for the wheel's earliest-bucket min-scan, since no insertion
-/// repopulates the bucket the scan just emptied.
+/// link drain's access pattern (pop, pop, pop...): every pop unlinks a
+/// bucket head and most empty a bucket, so the bitmap search for the
+/// next occupied one runs with no insertion to amortize it.
 template <class Queue>
 void run_monotone_drain(benchmark::State& state) {
   Rng rng(13);

@@ -717,6 +717,20 @@ def run_dataplane_mode(args):
                  f"the {OBS_NOISE_TOLERANCE:.0%} noise tolerance)")
 
 
+def git_commit():
+    """HEAD of the checkout the benchmark ran from ("+dirty" when the
+    tree has uncommitted changes), or "none" outside git."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    head = subprocess.run(["git", "rev-parse", "HEAD"], capture_output=True,
+                          text=True, cwd=here)
+    if head.returncode != 0:
+        return "none"
+    dirty = subprocess.run(["git", "status", "--porcelain",
+                            "--untracked-files=no"],
+                           capture_output=True, text=True, cwd=here)
+    return head.stdout.strip() + ("+dirty" if dirty.stdout.strip() else "")
+
+
 def run_simcore_cell(binary, scheme, load, per_event):
     """One timed bench_simcore invocation -> parsed JSON."""
     # NB: bool flags must use the --flag=value form — a space-separated
@@ -872,6 +886,8 @@ def run_simcore_mode(args):
                            "doubles) plus a full sweep-artifact "
                            "byte-compare; any divergence fails the run",
         },
+        "host_cores": os.cpu_count() or 1,
+        "commit": git_commit(),
         "end_to_end": e2e,
         "microbench": micro,
         "artifact_equivalence": artifact_equivalence,

@@ -15,7 +15,9 @@
 // Exits non-zero when any seed's invariant fails, so CI can run the
 // whole former seed-matrix as ONE invocation.
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <vector>
 
 #include "experiments/sweeps.hpp"
 #include "util/flags.hpp"
@@ -59,7 +61,14 @@ int main(int argc, char** argv) {
   sweep.obs.trace_capacity =
       static_cast<std::size_t>(flags.get_int("trace-capacity"));
 
-  const auto cells = qv::experiments::run_chaos_sweep(sweep);
+  std::vector<qv::experiments::SweepCell> cells;
+  try {
+    cells = qv::experiments::run_chaos_sweep(sweep);
+  } catch (const std::exception& e) {
+    // Exit 2: artifacts could not be written (e.g. an unusable --out).
+    std::fprintf(stderr, "chaos: %s\n", e.what());
+    return 2;
+  }
   bool all_ok = true;
   for (const auto& cell : cells) {
     if (!cell.log.empty()) std::fputs(cell.log.c_str(), stderr);

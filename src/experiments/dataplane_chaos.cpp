@@ -306,6 +306,7 @@ void write_dataplane_chaos_trace(const std::string& path,
 
 std::vector<DataplaneChaosCell> run_dataplane_chaos_sweep(
     const DataplaneChaosSweepConfig& sweep) {
+  obs::create_artifact_dir(sweep.out_dir);
   const std::size_t cells = sweep.kinds.size() * sweep.seeds.size();
   auto outs = exec::run_sweep<DataplaneChaosCell>(
       cells,

@@ -15,7 +15,9 @@
 // on the fault-free path, unbounded loss, slow recovery, or a fault
 // kind that never fired), so CI runs the matrix as ONE invocation.
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <vector>
 
 #include "experiments/dataplane_chaos.hpp"
 #include "experiments/sweeps.hpp"
@@ -74,7 +76,14 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(flags.get_int("packets"));
   }
 
-  const auto cells = qv::experiments::run_dataplane_chaos_sweep(sweep);
+  std::vector<qv::experiments::DataplaneChaosCell> cells;
+  try {
+    cells = qv::experiments::run_dataplane_chaos_sweep(sweep);
+  } catch (const std::exception& e) {
+    // Exit 2: artifacts could not be written (e.g. an unusable --out).
+    std::fprintf(stderr, "dataplane_chaos: %s\n", e.what());
+    return 2;
+  }
   bool all_ok = true;
   for (const auto& cell : cells) {
     std::fputs(cell.summary.c_str(), stdout);

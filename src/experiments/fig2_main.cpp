@@ -14,7 +14,9 @@
 // so the `sim` category is opt-in via --trace-sim; --no-trace disables
 // the timeline entirely.
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <vector>
 
 #include "experiments/sweeps.hpp"
 #include "util/flags.hpp"
@@ -72,7 +74,14 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("trace-capacity"));
   sweep.obs.sample_interval_us = flags.get_int("sample-interval-us");
 
-  const auto cells = qv::experiments::run_fig2_sweep(sweep);
+  std::vector<qv::experiments::SweepCell> cells;
+  try {
+    cells = qv::experiments::run_fig2_sweep(sweep);
+  } catch (const std::exception& e) {
+    // Exit 2: artifacts could not be written (e.g. an unusable --out).
+    std::fprintf(stderr, "fig2: %s\n", e.what());
+    return 2;
+  }
   for (const auto& cell : cells) {
     if (!cell.log.empty()) std::fputs(cell.log.c_str(), stderr);
     std::fputs(cell.summary.c_str(), stdout);

@@ -12,7 +12,9 @@
 // See fig2_main.cpp for the tracing flags; --paper-topo switches to the
 // paper-scale fabric (much slower).
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <vector>
 
 #include "experiments/sweeps.hpp"
 #include "util/flags.hpp"
@@ -93,7 +95,14 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("trace-capacity"));
   sweep.obs.sample_interval_us = flags.get_int("sample-interval-us");
 
-  const auto cells = qv::experiments::run_fig4_sweep(sweep);
+  std::vector<qv::experiments::SweepCell> cells;
+  try {
+    cells = qv::experiments::run_fig4_sweep(sweep);
+  } catch (const std::exception& e) {
+    // Exit 2: artifacts could not be written (e.g. an unusable --out).
+    std::fprintf(stderr, "fig4: %s\n", e.what());
+    return 2;
+  }
   for (const auto& cell : cells) {
     if (!cell.log.empty()) std::fputs(cell.log.c_str(), stderr);
     std::fputs(cell.summary.c_str(), stdout);

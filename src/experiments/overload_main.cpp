@@ -16,7 +16,9 @@
 // cell's isolation contract fails, so CI can run the whole former
 // mode x seed matrix as ONE invocation.
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <vector>
 
 #include "experiments/sweeps.hpp"
 #include "util/flags.hpp"
@@ -74,7 +76,14 @@ int main(int argc, char** argv) {
   sweep.obs.trace_capacity =
       static_cast<std::size_t>(flags.get_int("trace-capacity"));
 
-  const auto cells = qv::experiments::run_overload_sweep(sweep);
+  std::vector<qv::experiments::SweepCell> cells;
+  try {
+    cells = qv::experiments::run_overload_sweep(sweep);
+  } catch (const std::exception& e) {
+    // Exit 2: artifacts could not be written (e.g. an unusable --out).
+    std::fprintf(stderr, "overload: %s\n", e.what());
+    return 2;
+  }
   bool all_ok = true;
   for (const auto& cell : cells) {
     if (!cell.log.empty()) std::fputs(cell.log.c_str(), stderr);

@@ -355,6 +355,7 @@ RolloutChaosResult run_rollout_chaos(const RolloutChaosConfig& config,
 
 std::vector<RolloutChaosCell> run_rollout_chaos_sweep(
     const RolloutChaosSweepConfig& sweep) {
+  obs::create_artifact_dir(sweep.out_dir);
   const std::size_t cells = sweep.kinds.size() * sweep.seeds.size();
   auto outs = exec::run_sweep<RolloutChaosCell>(
       cells,

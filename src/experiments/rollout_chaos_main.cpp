@@ -17,7 +17,9 @@
 // scheduled under a half-installed plan), so CI runs the matrix as ONE
 // invocation.
 #include <cstdio>
+#include <exception>
 #include <string>
+#include <vector>
 
 #include "experiments/rollout_chaos.hpp"
 #include "experiments/sweeps.hpp"
@@ -75,7 +77,14 @@ int main(int argc, char** argv) {
     sweep.base.switches = static_cast<std::size_t>(flags.get_int("switches"));
   }
 
-  const auto cells = qv::experiments::run_rollout_chaos_sweep(sweep);
+  std::vector<qv::experiments::RolloutChaosCell> cells;
+  try {
+    cells = qv::experiments::run_rollout_chaos_sweep(sweep);
+  } catch (const std::exception& e) {
+    // Exit 2: artifacts could not be written (e.g. an unusable --out).
+    std::fprintf(stderr, "rollout_chaos: %s\n", e.what());
+    return 2;
+  }
   bool all_ok = true;
   for (const auto& cell : cells) {
     std::fputs(cell.summary.c_str(), stdout);

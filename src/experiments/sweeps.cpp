@@ -195,6 +195,7 @@ struct Fig2CellOut {
 }  // namespace
 
 std::vector<SweepCell> run_fig2_sweep(const Fig2SweepConfig& sweep) {
+  obs::create_artifact_dir(sweep.out_dir);
   const std::size_t cells = sweep.schemes.size() * sweep.seeds.size();
   auto outs = exec::run_sweep<Fig2CellOut>(
       cells,
@@ -279,6 +280,7 @@ struct Fig4CellOut {
 }  // namespace
 
 std::vector<SweepCell> run_fig4_sweep(const Fig4SweepConfig& sweep) {
+  obs::create_artifact_dir(sweep.out_dir);
   const std::size_t per_scheme = sweep.loads.size() * sweep.seeds.size();
   const std::size_t cells = sweep.schemes.size() * per_scheme;
   auto outs = exec::run_sweep<Fig4CellOut>(
@@ -369,6 +371,7 @@ struct ChaosCellOut {
 }  // namespace
 
 std::vector<SweepCell> run_chaos_sweep(const ChaosSweepConfig& sweep) {
+  obs::create_artifact_dir(sweep.out_dir);
   auto outs = exec::run_sweep<ChaosCellOut>(
       sweep.seeds.size(),
       [&sweep](std::size_t i) {
@@ -493,6 +496,7 @@ void append_overload_victim(std::string& s, const char* name,
 }  // namespace
 
 std::vector<SweepCell> run_overload_sweep(const OverloadSweepConfig& sweep) {
+  obs::create_artifact_dir(sweep.out_dir);
   const std::size_t cells = sweep.modes.size() * sweep.seeds.size();
   auto outs = exec::run_sweep<OverloadCellOut>(
       cells,

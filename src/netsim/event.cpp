@@ -25,6 +25,7 @@ inline std::size_t circular_ffs64(std::uint64_t bits, std::size_t start) {
 
 EventQueue::EventQueue() {
   head0_.fill(-1);
+  tail0_.fill(-1);
   head1_.fill(-1);
 }
 
@@ -136,7 +137,7 @@ bool EventQueue::place_slot(std::uint32_t slot) {
     return true;
   }
   // Negative / "past" timestamps (legal from inside callbacks) clamp
-  // into the earliest bucket; the (at, seq) min-scan still ranks them
+  // into the earliest bucket; the sorted insert puts them at its head,
   // ahead of every in-window event, matching heap semantics.
   const TimeNs t = s.at < 0 ? 0 : s.at;
   const std::int64_t tick0 = t >> kTick0Shift;
@@ -162,20 +163,44 @@ bool EventQueue::place_slot(std::uint32_t slot) {
 
 void EventQueue::bucket_push(std::int32_t enc, std::uint32_t slot) {
   Slot& s = slots_[slot];
-  std::int32_t& head = bucket_head(enc);
-  s.prev = -1;
-  s.next = head;
-  if (head >= 0) slots_[static_cast<std::size_t>(head)].prev =
-      static_cast<std::int32_t>(slot);
-  head = static_cast<std::int32_t>(slot);
+  const std::int32_t self = static_cast<std::int32_t>(slot);
   s.bucket = enc;
-  if (enc < kL1Base) {
-    const std::size_t word = static_cast<std::size_t>(enc) >> 6;
-    bits0_[word] |= std::uint64_t{1} << (static_cast<std::size_t>(enc) & 63);
-    summary0_[word >> 6] |= std::uint64_t{1} << (word & 63);
-  } else {
+  if (enc >= kL1Base) {
+    // Level-1 buckets stay unordered: rotation re-places every event
+    // through place_slot, which sorts it into level 0.
+    std::int32_t& head = head1_[static_cast<std::size_t>(enc - kL1Base)];
+    s.prev = -1;
+    s.next = head;
+    if (head >= 0) slots_[static_cast<std::size_t>(head)].prev = self;
+    head = self;
     bits1_ |= std::uint64_t{1} << (static_cast<std::size_t>(enc - kL1Base));
+    return;
   }
+  // Level 0 keeps (at, seq) order: walk back from the tail past every
+  // event that must run after this one. Arrivals are mostly among the
+  // latest in their bucket, so the walk is short (see the header).
+  const std::size_t idx = static_cast<std::size_t>(enc);
+  std::int32_t after = tail0_[idx];
+  while (after >= 0 && before(self, after)) {
+    after = slots_[static_cast<std::size_t>(after)].prev;
+  }
+  s.prev = after;
+  if (after >= 0) {
+    Slot& a = slots_[static_cast<std::size_t>(after)];
+    s.next = a.next;
+    a.next = self;
+  } else {
+    s.next = head0_[idx];
+    head0_[idx] = self;
+  }
+  if (s.next >= 0) {
+    slots_[static_cast<std::size_t>(s.next)].prev = self;
+  } else {
+    tail0_[idx] = self;
+  }
+  const std::size_t word = idx >> 6;
+  bits0_[word] |= std::uint64_t{1} << (idx & 63);
+  summary0_[word >> 6] |= std::uint64_t{1} << (word & 63);
 }
 
 void EventQueue::bucket_unlink(std::uint32_t slot) {
@@ -187,7 +212,11 @@ void EventQueue::bucket_unlink(std::uint32_t slot) {
   } else {
     bucket_head(enc) = s.next;
   }
-  if (s.next >= 0) slots_[static_cast<std::size_t>(s.next)].prev = s.prev;
+  if (s.next >= 0) {
+    slots_[static_cast<std::size_t>(s.next)].prev = s.prev;
+  } else if (enc < kL1Base) {
+    tail0_[static_cast<std::size_t>(enc)] = s.prev;
+  }
   s.bucket = -1;
   if (bucket_head(enc) < 0) {
     if (enc < kL1Base) {
@@ -264,13 +293,8 @@ void EventQueue::ensure_candidate() {
     if (sw < kSummary0Words) {
       const std::size_t word = sw * 64 + ctz64(summary0_[sw]);
       const std::size_t bit = ctz64(bits0_[word]);
-      const std::int32_t head = head0_[word * 64 + bit];
-      std::int32_t best = head;
-      for (std::int32_t i = slots_[static_cast<std::size_t>(head)].next;
-           i >= 0; i = slots_[static_cast<std::size_t>(i)].next) {
-        if (before(i, best)) best = i;
-      }
-      cached_min_ = best;
+      // Level-0 buckets are (at, seq)-sorted: the head is the minimum.
+      cached_min_ = head0_[word * 64 + bit];
       return;
     }
     if (bits1_ != 0) {

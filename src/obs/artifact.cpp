@@ -1,7 +1,9 @@
 #include "obs/artifact.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace qv::obs {
 
@@ -12,6 +14,16 @@ void save_artifact(const std::string& path,
   write(out);
   out.flush();
   if (!out) throw std::runtime_error("write failed for artifact: " + path);
+}
+
+void create_artifact_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  // An existing non-directory at `dir` (or on its path) fails here too.
+  if (ec) {
+    throw std::runtime_error("cannot create artifact directory " + dir +
+                             ": " + ec.message());
+  }
 }
 
 }  // namespace qv::obs

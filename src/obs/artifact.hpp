@@ -15,4 +15,10 @@ namespace qv::obs {
 void save_artifact(const std::string& path,
                    const std::function<void(std::ostream&)>& write);
 
+/// Create the artifact directory `dir` and any missing parents. Every
+/// experiment sweep calls this before its first cell runs, so a bad
+/// --out fails before any work. Throws std::runtime_error naming `dir`
+/// when it cannot be created, including when it names a regular file.
+void create_artifact_dir(const std::string& dir);
+
 }  // namespace qv::obs

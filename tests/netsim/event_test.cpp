@@ -4,7 +4,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <utility>
 #include <vector>
+
+#include "util/random.hpp"
 
 namespace qv::netsim {
 namespace {
@@ -355,6 +361,228 @@ TEST(EventQueue, TimerCallbackMayGrowTheSlab) {
   while (!q.empty()) q.run_next();
   EXPECT_EQ(ctx.scheduled, 256);
   q.destroy_timer(t);
+}
+
+// --- randomized wheel-vs-heap differential --------------------------------
+
+/// One queue layout driven by a seeded op stream. Every decision comes
+/// from the harness's own Rng and from a layout-independent model of the
+/// live events, so two layouts that dispatch identically see identical
+/// streams and the first divergence shows up in the dispatch log. The
+/// model is an ordered map keyed by (at, seq): a dispatch must always
+/// pop its first entry.
+class DiffHarness {
+ public:
+  struct Coverage {
+    int cancels[3] = {0, 0, 0};  ///< head / middle / tail of a >=3 bucket
+    int past = 0;                ///< events scheduled behind the clock
+    int reserved = 0;            ///< schedule_at_seq / arm with an old seq
+    int far = 0;                 ///< beyond the level-0 window
+  };
+
+  DiffHarness(bool heap_only, std::uint64_t seed) : rng_(seed) {
+    q_.set_heap_only(heap_only);
+    for (Timer& t : timers_) {
+      t.owner = this;
+      t.id = q_.make_timer(&DiffHarness::fire_timer, &t);
+    }
+  }
+  ~DiffHarness() {
+    for (Timer& t : timers_) q_.destroy_timer(t.id);
+  }
+
+  std::vector<std::uint64_t> run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      step();
+      EXPECT_EQ(q_.size(), model_.size());
+    }
+    while (!q_.empty()) q_.run_next();
+    EXPECT_TRUE(model_.empty());
+    return log_;
+  }
+  const Coverage& coverage() const { return cov_; }
+
+ private:
+  using Key = std::pair<TimeNs, std::uint64_t>;
+  struct Live {
+    std::uint64_t label;
+    EventId id;
+    int timer;  ///< index into timers_, -1 for a regular event
+  };
+  struct Timer {
+    DiffHarness* owner = nullptr;
+    EventId id = 0;
+    Key key{};
+    bool armed = false;
+  };
+
+  std::uint64_t below(std::uint64_t n) { return rng_.next_below(n); }
+
+  void step() {
+    switch (below(10)) {
+      case 0:
+      case 1:  // exact-time ties on a 1 us lattice
+        schedule((now_ / 1000 + static_cast<TimeNs>(below(17))) * 1000);
+        break;
+      case 2:  // sub-tick spread inside one or two 128 ns buckets
+        schedule(now_ + static_cast<TimeNs>(below(128)));
+        break;
+      case 3:
+        for (std::uint64_t n = 1 + below(3); n > 0; --n) {
+          reserved_.push_back(q_.reserve_seq());
+          ++seq_;
+        }
+        break;
+      case 4:
+        if (!reserved_.empty()) {
+          const TimeNs at = (now_ / 1000 + static_cast<TimeNs>(below(5))) *
+                            1000;
+          const std::uint64_t seq = take_reserved();
+          const std::uint64_t label = next_label_++;
+          const EventId id =
+              q_.schedule_at_seq(at, seq, [this, label] { fire(label); });
+          model_.emplace(Key{at, seq}, Live{label, id, -1});
+          ++cov_.reserved;
+        }
+        break;
+      case 5:
+        arm_some_timer();
+        break;
+      case 6:
+        cancel_in_bucket();
+        break;
+      case 7:  // level 1 (~1-67 ms out) or the overflow heap (seconds)
+        ++cov_.far;
+        schedule(now_ + (below(2) == 0
+                             ? milliseconds(2 + static_cast<TimeNs>(below(60)))
+                             : seconds(1 + static_cast<TimeNs>(below(4)))));
+        break;
+      default:
+        for (std::uint64_t n = 1 + below(6); n > 0 && !q_.empty(); --n) {
+          q_.run_next();
+        }
+        break;
+    }
+  }
+
+  void schedule(TimeNs at) {
+    const std::uint64_t label = next_label_++;
+    const EventId id = q_.schedule(at, [this, label] { fire(label); });
+    model_.emplace(Key{at, seq_++}, Live{label, id, -1});
+  }
+
+  std::uint64_t take_reserved() {
+    const std::size_t i = static_cast<std::size_t>(below(reserved_.size()));
+    const std::uint64_t seq = reserved_[i];
+    reserved_[i] = reserved_.back();
+    reserved_.pop_back();
+    return seq;
+  }
+
+  void arm_some_timer() {
+    Timer& t = timers_[static_cast<std::size_t>(below(timers_.size()))];
+    if (t.armed) return;
+    std::uint64_t seq;
+    if (!reserved_.empty() && below(2) == 0) {
+      seq = take_reserved();
+      ++cov_.reserved;
+    } else {
+      seq = q_.reserve_seq();
+      ++seq_;
+    }
+    const TimeNs at = now_ + static_cast<TimeNs>(below(3000));
+    q_.arm_timer(t.id, at, seq);
+    t.key = Key{at, seq};
+    t.armed = true;
+    model_.emplace(t.key, Live{next_label_++, t.id,
+                               static_cast<int>(&t - timers_.data())});
+  }
+
+  /// Cancel (or disarm) the head, a middle entry or the tail of the
+  /// 128 ns bucket that a random live event sits in.
+  void cancel_in_bucket() {
+    if (model_.empty()) return;
+    auto pick = std::next(model_.begin(),
+                          static_cast<std::ptrdiff_t>(below(model_.size())));
+    const TimeNs tick = pick->first.first >> 7;
+    const auto first = model_.lower_bound(Key{tick << 7, 0});
+    const auto last = model_.lower_bound(Key{(tick + 1) << 7, 0});
+    const auto n = std::distance(first, last);
+    const std::uint64_t where = below(3);
+    auto victim = std::next(first, where == 0   ? 0
+                                   : where == 1 ? n / 2
+                                                : n - 1);
+    if (n >= 3) ++cov_.cancels[where];
+    const Live live = victim->second;
+    if (live.timer >= 0) {
+      q_.disarm_timer(live.id);
+      timers_[static_cast<std::size_t>(live.timer)].armed = false;
+    } else {
+      q_.cancel(live.id);
+    }
+    model_.erase(victim);
+  }
+
+  /// Dispatch bookkeeping shared by events and timers.
+  void record(std::uint64_t label) {
+    ASSERT_FALSE(model_.empty());
+    EXPECT_EQ(model_.begin()->second.label, label);
+    now_ = model_.begin()->first.first;
+    model_.erase(model_.begin());
+    log_.push_back(label);
+  }
+
+  void fire(std::uint64_t label) {
+    record(label);
+    // A quarter of the callbacks schedule behind the clock (heap
+    // semantics: they run next) or exactly at it (FIFO tie).
+    switch (below(8)) {
+      case 0:
+        ++cov_.past;
+        schedule(now_ - 1 - static_cast<TimeNs>(below(3000)));
+        break;
+      case 1:
+        schedule(now_);
+        break;
+      default:
+        break;
+    }
+  }
+
+  static void fire_timer(void* ctx) {
+    Timer& t = *static_cast<Timer*>(ctx);
+    DiffHarness& d = *t.owner;
+    t.armed = false;
+    d.record(d.model_.at(t.key).label);
+  }
+
+  EventQueue q_;
+  Rng rng_;
+  std::map<Key, Live> model_;
+  std::array<Timer, 4> timers_;
+  std::vector<std::uint64_t> reserved_;
+  std::vector<std::uint64_t> log_;
+  std::uint64_t seq_ = 0;  ///< mirrors the queue's next sequence number
+  std::uint64_t next_label_ = 0;
+  TimeNs now_ = 0;
+  Coverage cov_;
+};
+
+TEST(EventQueue, WheelMatchesHeapOnlyOnRandomOpStreams) {
+  for (const std::uint64_t seed : {1u, 2u, 7u, 42u, 1337u}) {
+    SCOPED_TRACE(seed);
+    DiffHarness wheel(false, seed);
+    DiffHarness heap(true, seed);
+    const std::vector<std::uint64_t> a = wheel.run(5000);
+    const std::vector<std::uint64_t> b = heap.run(5000);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a, b);
+    const DiffHarness::Coverage& cov = wheel.coverage();
+    for (const int c : cov.cancels) EXPECT_GT(c, 0);
+    EXPECT_GT(cov.past, 0);
+    EXPECT_GT(cov.reserved, 0);
+    EXPECT_GT(cov.far, 0);
+  }
 }
 
 }  // namespace
