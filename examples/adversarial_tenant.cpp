@@ -60,7 +60,6 @@ int main() {
   RuntimeConfig cfg;
   cfg.activity_window = milliseconds(100);
   cfg.min_reconfig_interval = 0;
-  cfg.quarantine_adversarial = true;
   RuntimeController controller(hv, cfg);
 
   // Both tenants transmit; mallory's ranks sit far outside its declared

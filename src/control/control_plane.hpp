@@ -27,7 +27,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "control/group_compiler.hpp"
@@ -160,45 +159,29 @@ class ControlPlane {
   obs::Log2Histogram incremental_latency_;  ///< ns per delta deploy
 };
 
-/// Fleet-level runtime controller for group mode: anti-entropy first
-/// (Fleet::reconcile heals switches that missed the committed epoch),
-/// then quarantine evaluation — tenants the monitor flags adversarial
-/// on ANY switch are jailed via ControlPlane::quarantine (an
-/// incremental redeploy once the jail tier exists), and forgiven after
-/// a clean window (RuntimeConfig::quarantine_clean_window). At a
+/// The adaptive loop deployed through a ControlPlane (group mode):
+/// tenants the monitor flags adversarial on ANY switch are jailed via
+/// ControlPlane::quarantine (an incremental redeploy once the jail tier
+/// exists). The loop starts from the control plane's quarantine set, so
+/// an operator's direct quarantine() call stands until forgiven. At a
 /// million tenants this is the whole point of the group rewrite: one
 /// misbehaving tenant re-synthesizes O(changed groups), not O(tenants).
-class GroupFleetController {
+class GroupFleetController : public qvisor::FleetLoop {
  public:
-  GroupFleetController(ControlPlane& cp, qvisor::RuntimeConfig config = {});
+  GroupFleetController(ControlPlane& cp,
+                       qvisor::ControllerConfig config = {});
 
-  /// Returns true when a redeploy was committed fleet-wide.
-  bool tick(TimeNs now);
-
-  const std::vector<TenantId>& quarantined() const { return quarantined_; }
-  std::uint64_t adaptations() const { return adaptations_; }
-  std::uint64_t quarantines() const { return quarantines_; }
-  std::uint64_t unquarantines() const { return unquarantines_; }
-  const qvisor::RuntimeConfig& config() const { return config_; }
-
-  void export_metrics(obs::Registry& reg, const std::string& prefix) const {
-    reg.counter_view(prefix + ".adaptations", &adaptations_);
-    reg.counter_view(prefix + ".quarantines", &quarantines_);
-    reg.counter_view(prefix + ".unquarantines", &unquarantines_);
+  const std::vector<TenantId>& quarantined() const override {
+    return cp_.quarantined();
   }
+
+ protected:
+  /// Group plans provision every tenant: only the jail set moves.
+  bool observe(TimeNs, std::vector<TenantId>&) override { return false; }
+  Deploy deploy(const std::vector<TenantId>& jail, TimeNs now) override;
 
  private:
   ControlPlane& cp_;
-  qvisor::RuntimeConfig config_;
-  std::vector<TenantId> quarantined_;  ///< sorted, unique
-  /// When each jailed tenant was (re-)quarantined: the recidivism
-  /// reference for the forgiveness boundary (violated while jailed =>
-  /// jail clock restarts in place instead of release + re-jail flap).
-  std::unordered_map<TenantId, TimeNs> jailed_at_;
-  TimeNs last_reconfig_ = -1;
-  std::uint64_t adaptations_ = 0;
-  std::uint64_t quarantines_ = 0;
-  std::uint64_t unquarantines_ = 0;
 };
 
 }  // namespace qv::control

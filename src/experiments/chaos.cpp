@@ -119,7 +119,7 @@ ChaosResult run_chaos(const ChaosConfig& config) {
   }
 
   // --- fleet controller --------------------------------------------------
-  qvisor::RuntimeConfig rc;
+  qvisor::ControllerConfig rc;
   rc.activity_window = config.activity_window;
   rc.min_reconfig_interval = config.tick_interval;
   rc.retry_budget = config.retry_budget;

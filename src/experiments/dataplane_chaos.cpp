@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
-#include <stdexcept>
 
 #include "exec/sweep.hpp"
+#include "experiments/sweeps.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/obs.hpp"
 #include "util/random.hpp"
@@ -230,78 +229,41 @@ DataplaneChaosResult run_dataplane_chaos(const DataplaneChaosConfig& config,
 
 void write_dataplane_chaos_trace(const std::string& path,
                                  const DataplaneChaosResult& result) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
+  obs::Tracer tracer(result.recoveries.size() + result.quarantine.size());
+  tracer.set_mask(obs::trace_bit(obs::TraceCategory::kDataplane));
   std::int64_t base_ns = 0;
   for (const auto& rec : result.recoveries) {
     if (base_ns == 0 || rec.start_ns < base_ns) base_ns = rec.start_ns;
   }
-  obs::JsonWriter w(out);
-  w.begin_object();
-  w.key("traceEvents").begin_array();
-  // Track names: one row per shard that recovered.
-  std::vector<std::size_t> shards;
-  for (const auto& rec : result.recoveries) shards.push_back(rec.shard);
-  std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  for (const std::size_t s : shards) {
-    w.begin_object();
-    w.key("ph").value("M");
-    w.key("name").value("thread_name");
-    w.key("pid").value(std::uint64_t{1});
-    w.key("tid").value(static_cast<std::uint64_t>(s));
-    w.key("args").begin_object();
-    w.key("name").value("shard" + std::to_string(s));
-    w.end_object();
-    w.end_object();
-  }
   for (const auto& rec : result.recoveries) {
-    w.begin_object();
-    w.key("ph").value("X");
-    w.key("name").value(std::string("recover:") +
-                        dataplane::recovery_cause_name(rec.cause));
-    w.key("cat").value("dataplane");
-    w.key("pid").value(std::uint64_t{1});
-    w.key("tid").value(static_cast<std::uint64_t>(rec.shard));
-    w.key("ts").value(static_cast<double>(rec.start_ns - base_ns) / 1e3);
-    w.key("dur").value(static_cast<double>(rec.restore_ns) / 1e3);
-    w.key("args").begin_object();
-    w.key("at_burst").value(rec.at_burst);
-    w.key("lost").value(rec.lost);
-    w.key("drained").value(rec.drained);
-    w.end_object();
-    w.end_object();
+    const auto tid = static_cast<std::uint32_t>(rec.shard);
+    tracer.set_thread_name(tid, "shard" + std::to_string(rec.shard));
+    const std::string name =
+        std::string("recover:") + dataplane::recovery_cause_name(rec.cause);
+    tracer.complete(obs::TraceCategory::kDataplane, tracer.intern(name),
+                    rec.start_ns - base_ns, rec.restore_ns, tid,
+                    {{"at_burst", rec.at_burst},
+                     {"lost", rec.lost},
+                     {"drained", rec.drained, /*boolean=*/true}});
   }
   for (const auto& q : result.quarantine) {
     // The verdict lands at the end of that shard's LAST poison restore
     // (the restore that tipped the packet over quarantine_after).
-    double ts = 0.0;
+    TimeNs ts = 0;
     for (const auto& rec : result.recoveries) {
       if (rec.shard == q.shard &&
           rec.cause == dataplane::RecoveryRecord::Cause::kPoison) {
-        ts = static_cast<double>(rec.start_ns - base_ns + rec.restore_ns) /
-             1e3;
+        ts = rec.start_ns - base_ns + rec.restore_ns;
       }
     }
-    w.begin_object();
-    w.key("ph").value("i");
-    w.key("s").value("t");
-    w.key("name").value("quarantine");
-    w.key("cat").value("dataplane");
-    w.key("pid").value(std::uint64_t{1});
-    w.key("tid").value(static_cast<std::uint64_t>(q.shard));
-    w.key("ts").value(ts);
-    w.key("args").begin_object();
-    w.key("port").value(static_cast<std::uint64_t>(q.port));
-    w.key("seq").value(q.seq);
-    w.key("tenant").value(static_cast<std::int64_t>(q.tenant));
-    w.key("faults").value(q.faults);
-    w.end_object();
-    w.end_object();
+    tracer.instant(obs::TraceCategory::kDataplane, "quarantine", ts,
+                   static_cast<std::uint32_t>(q.shard),
+                   {{"port", q.port},
+                    {"seq", q.seq},
+                    {"tenant", q.tenant},
+                    {"faults", static_cast<std::uint64_t>(q.faults)}});
   }
-  w.end_array();
-  w.end_object();
-  out << "\n";
+  obs::save_trace_json(path, tracer);
 }
 
 std::vector<DataplaneChaosCell> run_dataplane_chaos_sweep(
@@ -367,43 +329,35 @@ std::vector<DataplaneChaosCell> run_dataplane_chaos_sweep(
       },
       {sweep.jobs});
 
-  std::ofstream summary(sweep.out_dir + "/dpchaos_summary.json");
-  if (!summary) {
-    throw std::runtime_error("cannot write " + sweep.out_dir +
-                             "/dpchaos_summary.json");
-  }
-  obs::JsonWriter w(summary);
-  w.begin_object();
-  w.key("experiment").value("dpchaos");
-  w.key("grid").begin_array();
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    const DataplaneChaosResult& r = outs[i].result;
-    w.begin_object();
-    w.key("kind").value(
-        dataplane_fault_kind_slug(sweep.kinds[i / sweep.seeds.size()]));
-    w.key("seed").value(sweep.seeds[i % sweep.seeds.size()]);
-    w.key("generated").value(r.generated);
-    w.key("processed").value(r.processed);
-    w.key("quarantined").value(r.quarantined);
-    w.key("lost_in_flight").value(r.lost_in_flight);
-    w.key("checkpoints").value(r.checkpoints);
-    w.key("restores").value(r.restores);
-    w.key("watchdog_detects").value(r.watchdog_detects);
-    w.key("recoveries").value(r.recovery_count);
-    w.key("max_lost_per_recovery").value(r.max_lost_per_recovery);
-    w.key("loss_bound").value(r.loss_bound);
-    w.key("balanced").value(r.balanced);
-    w.key("faultfree_identical").value(r.faultfree_identical);
-    w.key("replay_identical").value(r.replay_identical);
-    w.key("loss_bounded").value(r.loss_bounded);
-    w.key("recovery_bounded").value(r.recovery_bounded);
-    w.key("activity_seen").value(r.activity_seen);
-    w.key("ok").value(outs[i].ok);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  summary << "\n";
+  write_summary_json(
+      sweep.out_dir + "/dpchaos_summary.json", "dpchaos",
+      [&sweep, &outs](obs::JsonWriter& w) {
+        for (std::size_t i = 0; i < outs.size(); ++i) {
+          const DataplaneChaosResult& r = outs[i].result;
+          w.begin_object();
+          w.key("kind").value(
+              dataplane_fault_kind_slug(sweep.kinds[i / sweep.seeds.size()]));
+          w.key("seed").value(sweep.seeds[i % sweep.seeds.size()]);
+          w.key("generated").value(r.generated);
+          w.key("processed").value(r.processed);
+          w.key("quarantined").value(r.quarantined);
+          w.key("lost_in_flight").value(r.lost_in_flight);
+          w.key("checkpoints").value(r.checkpoints);
+          w.key("restores").value(r.restores);
+          w.key("watchdog_detects").value(r.watchdog_detects);
+          w.key("recoveries").value(r.recovery_count);
+          w.key("max_lost_per_recovery").value(r.max_lost_per_recovery);
+          w.key("loss_bound").value(r.loss_bound);
+          w.key("balanced").value(r.balanced);
+          w.key("faultfree_identical").value(r.faultfree_identical);
+          w.key("replay_identical").value(r.replay_identical);
+          w.key("loss_bounded").value(r.loss_bounded);
+          w.key("recovery_bounded").value(r.recovery_bounded);
+          w.key("activity_seen").value(r.activity_seen);
+          w.key("ok").value(outs[i].ok);
+          w.end_object();
+        }
+      });
   return outs;
 }
 

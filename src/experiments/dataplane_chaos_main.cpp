@@ -15,7 +15,6 @@
 // on the fault-free path, unbounded loss, slow recovery, or a fault
 // kind that never fired), so CI runs the matrix as ONE invocation.
 #include <cstdio>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -33,24 +32,18 @@ int main(int argc, char** argv) {
                       "(stall,crash,poison,desync,random); default all");
   flags.define_string("out", ".", "output directory for run artifacts");
   flags.define_int("jobs", 0,
-                   "parallel cells (0 = hardware concurrency, 1 = serial)");
+                   "parallel cells (0 = hardware concurrency, 1 = serial)",
+                   /*min_value=*/0);
   flags.define_int("packets", 0,
-                   "packets per port (0 = harness default)");
+                   "packets per port (0 = harness default)",
+                   /*min_value=*/0);
   if (!flags.parse(argc, argv)) return 1;
   if (flags.help_requested()) return 0;
 
   qv::experiments::DataplaneChaosSweepConfig sweep;
-  if (!flags.get_string("seeds").empty()) {
-    bool ok = false;
-    sweep.seeds =
-        qv::experiments::parse_u64_list(flags.get_string("seeds"), &ok);
-    if (!ok) {
-      std::fprintf(stderr, "dataplane_chaos: bad --seeds '%s'\n",
-                   flags.get_string("seeds").c_str());
-      return 1;
-    }
-  } else {
-    sweep.seeds = {static_cast<std::uint64_t>(flags.get_int("seed"))};
+  if (!qv::experiments::seeds_from_flags(flags, "dataplane_chaos",
+                                         &sweep.seeds)) {
+    return 1;
   }
   if (!flags.get_string("kinds").empty()) {
     sweep.kinds.clear();
@@ -76,22 +69,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(flags.get_int("packets"));
   }
 
-  std::vector<qv::experiments::DataplaneChaosCell> cells;
-  try {
-    cells = qv::experiments::run_dataplane_chaos_sweep(sweep);
-  } catch (const std::exception& e) {
-    // Exit 2: artifacts could not be written (e.g. an unusable --out).
-    std::fprintf(stderr, "dataplane_chaos: %s\n", e.what());
-    return 2;
-  }
-  bool all_ok = true;
-  for (const auto& cell : cells) {
-    std::fputs(cell.summary.c_str(), stdout);
-    if (!cell.ok) {
-      std::fprintf(stderr, "dataplane_chaos: CONTRACT VIOLATED (%s)\n",
-                   cell.stem.c_str());
-      all_ok = false;
-    }
-  }
-  return all_ok ? 0 : 1;
+  return qv::experiments::run_cli_sweep(
+      "dataplane_chaos", "CONTRACT VIOLATED",
+      [&sweep] { return qv::experiments::run_dataplane_chaos_sweep(sweep); });
 }

@@ -12,7 +12,6 @@
 // See fig2_main.cpp for the tracing flags; --paper-topo switches to the
 // paper-scale fabric (much slower).
 #include <cstdio>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -35,13 +34,16 @@ int main(int argc, char** argv) {
   flags.define_int("seed", 1, "workload RNG seed");
   flags.define_int("jobs", 0,
                    "parallel runs (0 = hardware concurrency, 1 = serial; "
-                   "output is byte-identical either way)");
+                   "output is byte-identical either way)",
+                   /*min_value=*/0);
   flags.define_bool("paper-topo", false,
                     "paper-scale 144-host fabric instead of the scaled one");
   flags.define_int("sample-interval-us", 100,
-                   "periodic sampler cadence (simulated microseconds)");
+                   "periodic sampler cadence (simulated microseconds)",
+                   /*min_value=*/1);
   flags.define_int("trace-capacity", 1 << 16,
-                   "trace ring capacity (events; oldest overwritten)");
+                   "trace ring capacity (events; oldest overwritten)",
+                   /*min_value=*/0);
   flags.define_bool("trace", true, "emit the timeline trace at all");
   flags.define_bool("trace-sim", false,
                     "also trace simulator event dispatch (voluminous)");
@@ -75,17 +77,8 @@ int main(int argc, char** argv) {
   } else {
     sweep.loads = {flags.get_double("load")};
   }
-  if (!flags.get_string("seeds").empty()) {
-    bool ok = false;
-    sweep.seeds =
-        qv::experiments::parse_u64_list(flags.get_string("seeds"), &ok);
-    if (!ok) {
-      std::fprintf(stderr, "fig4: bad --seeds '%s'\n",
-                   flags.get_string("seeds").c_str());
-      return 1;
-    }
-  } else {
-    sweep.seeds = {static_cast<std::uint64_t>(flags.get_int("seed"))};
+  if (!qv::experiments::seeds_from_flags(flags, "fig4", &sweep.seeds)) {
+    return 1;
   }
   sweep.out_dir = flags.get_string("out");
   sweep.jobs = static_cast<std::size_t>(flags.get_int("jobs"));
@@ -95,17 +88,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("trace-capacity"));
   sweep.obs.sample_interval_us = flags.get_int("sample-interval-us");
 
-  std::vector<qv::experiments::SweepCell> cells;
-  try {
-    cells = qv::experiments::run_fig4_sweep(sweep);
-  } catch (const std::exception& e) {
-    // Exit 2: artifacts could not be written (e.g. an unusable --out).
-    std::fprintf(stderr, "fig4: %s\n", e.what());
-    return 2;
-  }
-  for (const auto& cell : cells) {
-    if (!cell.log.empty()) std::fputs(cell.log.c_str(), stderr);
-    std::fputs(cell.summary.c_str(), stdout);
-  }
-  return 0;
+  return qv::experiments::run_cli_sweep(
+      "fig4", "FAILED",
+      [&sweep] { return qv::experiments::run_fig4_sweep(sweep); });
 }

@@ -122,10 +122,9 @@ OverloadRun run_once(const OverloadConfig& config, bool attack) {
   }
 
   // --- fleet controller (quarantine path) -------------------------------
-  qvisor::RuntimeConfig rc;
+  qvisor::ControllerConfig rc;
   rc.activity_window = config.activity_window;
   rc.min_reconfig_interval = config.tick_interval;
-  rc.quarantine_adversarial = true;
   rc.quarantine_clean_window = config.quarantine_clean_window;
   qvisor::FleetController controller(fleet, rc);
   for (TimeNs t = config.tick_interval; t < config.end;

@@ -16,7 +16,6 @@
 // cell's isolation contract fails, so CI can run the whole former
 // mode x seed matrix as ONE invocation.
 #include <cstdio>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -35,9 +34,11 @@ int main(int argc, char** argv) {
   flags.define_string("out", ".", "output directory for run artifacts");
   flags.define_int("jobs", 0,
                    "parallel runs (0 = hardware concurrency, 1 = serial; "
-                   "output is byte-identical either way)");
+                   "output is byte-identical either way)",
+                   /*min_value=*/0);
   flags.define_int("trace-capacity", 1 << 16,
-                   "trace ring capacity (events; oldest overwritten)");
+                   "trace ring capacity (events; oldest overwritten)",
+                   /*min_value=*/0);
   flags.define_bool("trace", true, "emit the timeline trace at all");
   if (!flags.parse(argc, argv)) return 1;
   if (flags.help_requested()) return 0;
@@ -57,17 +58,8 @@ int main(int argc, char** argv) {
     }
     sweep.modes = {one};
   }
-  if (!flags.get_string("seeds").empty()) {
-    bool ok = false;
-    sweep.seeds =
-        qv::experiments::parse_u64_list(flags.get_string("seeds"), &ok);
-    if (!ok) {
-      std::fprintf(stderr, "overload: bad --seeds '%s'\n",
-                   flags.get_string("seeds").c_str());
-      return 1;
-    }
-  } else {
-    sweep.seeds = {static_cast<std::uint64_t>(flags.get_int("seed"))};
+  if (!qv::experiments::seeds_from_flags(flags, "overload", &sweep.seeds)) {
+    return 1;
   }
   sweep.base.guard = flags.get_bool("guard");
   sweep.out_dir = flags.get_string("out");
@@ -76,23 +68,7 @@ int main(int argc, char** argv) {
   sweep.obs.trace_capacity =
       static_cast<std::size_t>(flags.get_int("trace-capacity"));
 
-  std::vector<qv::experiments::SweepCell> cells;
-  try {
-    cells = qv::experiments::run_overload_sweep(sweep);
-  } catch (const std::exception& e) {
-    // Exit 2: artifacts could not be written (e.g. an unusable --out).
-    std::fprintf(stderr, "overload: %s\n", e.what());
-    return 2;
-  }
-  bool all_ok = true;
-  for (const auto& cell : cells) {
-    if (!cell.log.empty()) std::fputs(cell.log.c_str(), stderr);
-    std::fputs(cell.summary.c_str(), stdout);
-    if (!cell.ok) {
-      std::fprintf(stderr, "overload: ISOLATION VIOLATED (%s)\n",
-                   cell.stem.c_str());
-      all_ok = false;
-    }
-  }
-  return all_ok ? 0 : 1;
+  return qv::experiments::run_cli_sweep(
+      "overload", "ISOLATION VIOLATED",
+      [&sweep] { return qv::experiments::run_overload_sweep(sweep); });
 }

@@ -4,11 +4,11 @@
 #include <cstdarg>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 
 #include "exec/sweep.hpp"
+#include "experiments/sweeps.hpp"
 #include "obs/json_writer.hpp"
 #include "obs/obs.hpp"
 #include "qvisor/backend.hpp"
@@ -422,53 +422,45 @@ std::vector<RolloutChaosCell> run_rollout_chaos_sweep(
       },
       {sweep.jobs});
 
-  std::ofstream summary(sweep.out_dir + "/rollout_chaos_summary.json");
-  if (!summary) {
-    throw std::runtime_error("cannot write " + sweep.out_dir +
-                             "/rollout_chaos_summary.json");
-  }
-  obs::JsonWriter w(summary);
-  w.begin_object();
-  w.key("experiment").value("rollout_chaos");
-  w.key("grid").begin_array();
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    const RolloutChaosResult& r = outs[i].result;
-    const mgmt::RolloutReport& rep = r.report;
-    w.begin_object();
-    w.key("kind").value(
-        rollout_fault_kind_slug(sweep.kinds[i / sweep.seeds.size()]));
-    w.key("seed").value(sweep.seeds[i % sweep.seeds.size()]);
-    w.key("outcome").value(
-        rep.outcome == mgmt::RolloutOutcome::kCommitted
-            ? "committed"
-            : rep.outcome == mgmt::RolloutOutcome::kAborted ? "aborted"
-                                                            : "rejected");
-    w.key("baseline_version").value(r.baseline_version);
-    w.key("candidate_version").value(r.candidate_version);
-    w.key("final_lkg").value(r.final_lkg);
-    w.key("store_versions").value(r.store_versions);
-    w.key("waves").value(static_cast<std::uint64_t>(rep.waves.size()));
-    w.key("probes").value(static_cast<std::uint64_t>(rep.probes.size()));
-    w.key("switches_touched")
-        .value(static_cast<std::uint64_t>(rep.switches_touched));
-    w.key("reconcile_passes")
-        .value(static_cast<std::uint64_t>(rep.reconcile_passes));
-    w.key("install_rejections").value(r.install_rejections);
-    w.key("epoch_mismatch_packets").value(rep.epoch_mismatch_packets);
-    w.key("expected_commit").value(r.expected_commit);
-    w.key("outcome_as_expected").value(r.outcome_as_expected);
-    w.key("single_version").value(r.single_version);
-    w.key("canary_gated").value(r.canary_gated);
-    w.key("lkg_pointer_correct").value(r.lkg_pointer_correct);
-    w.key("store_recovery_identical").value(r.store_recovery_identical);
-    w.key("zero_epoch_mismatches").value(r.zero_epoch_mismatches);
-    w.key("activity_seen").value(r.activity_seen);
-    w.key("ok").value(outs[i].ok);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  summary << "\n";
+  write_summary_json(
+      sweep.out_dir + "/rollout_chaos_summary.json", "rollout_chaos",
+      [&sweep, &outs](obs::JsonWriter& w) {
+        for (std::size_t i = 0; i < outs.size(); ++i) {
+          const RolloutChaosResult& r = outs[i].result;
+          const mgmt::RolloutReport& rep = r.report;
+          w.begin_object();
+          w.key("kind").value(
+              rollout_fault_kind_slug(sweep.kinds[i / sweep.seeds.size()]));
+          w.key("seed").value(sweep.seeds[i % sweep.seeds.size()]);
+          w.key("outcome").value(
+              rep.outcome == mgmt::RolloutOutcome::kCommitted
+                  ? "committed"
+                  : rep.outcome == mgmt::RolloutOutcome::kAborted ? "aborted"
+                                                                  : "rejected");
+          w.key("baseline_version").value(r.baseline_version);
+          w.key("candidate_version").value(r.candidate_version);
+          w.key("final_lkg").value(r.final_lkg);
+          w.key("store_versions").value(r.store_versions);
+          w.key("waves").value(static_cast<std::uint64_t>(rep.waves.size()));
+          w.key("probes").value(static_cast<std::uint64_t>(rep.probes.size()));
+          w.key("switches_touched")
+              .value(static_cast<std::uint64_t>(rep.switches_touched));
+          w.key("reconcile_passes")
+              .value(static_cast<std::uint64_t>(rep.reconcile_passes));
+          w.key("install_rejections").value(r.install_rejections);
+          w.key("epoch_mismatch_packets").value(rep.epoch_mismatch_packets);
+          w.key("expected_commit").value(r.expected_commit);
+          w.key("outcome_as_expected").value(r.outcome_as_expected);
+          w.key("single_version").value(r.single_version);
+          w.key("canary_gated").value(r.canary_gated);
+          w.key("lkg_pointer_correct").value(r.lkg_pointer_correct);
+          w.key("store_recovery_identical").value(r.store_recovery_identical);
+          w.key("zero_epoch_mismatches").value(r.zero_epoch_mismatches);
+          w.key("activity_seen").value(r.activity_seen);
+          w.key("ok").value(outs[i].ok);
+          w.end_object();
+        }
+      });
   return outs;
 }
 

@@ -17,7 +17,6 @@
 // scheduled under a half-installed plan), so CI runs the matrix as ONE
 // invocation.
 #include <cstdio>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -35,24 +34,18 @@ int main(int argc, char** argv) {
                       "canary-slo,store-crash,random); default all");
   flags.define_string("out", ".", "output directory for run artifacts");
   flags.define_int("jobs", 0,
-                   "parallel cells (0 = hardware concurrency, 1 = serial)");
+                   "parallel cells (0 = hardware concurrency, 1 = serial)",
+                   /*min_value=*/0);
   flags.define_int("switches", 0,
-                   "simulated fleet size (0 = harness default, 200)");
+                   "simulated fleet size (0 = harness default, 200)",
+                   /*min_value=*/0);
   if (!flags.parse(argc, argv)) return 1;
   if (flags.help_requested()) return 0;
 
   qv::experiments::RolloutChaosSweepConfig sweep;
-  if (!flags.get_string("seeds").empty()) {
-    bool ok = false;
-    sweep.seeds =
-        qv::experiments::parse_u64_list(flags.get_string("seeds"), &ok);
-    if (!ok) {
-      std::fprintf(stderr, "rollout_chaos: bad --seeds '%s'\n",
-                   flags.get_string("seeds").c_str());
-      return 1;
-    }
-  } else {
-    sweep.seeds = {static_cast<std::uint64_t>(flags.get_int("seed"))};
+  if (!qv::experiments::seeds_from_flags(flags, "rollout_chaos",
+                                         &sweep.seeds)) {
+    return 1;
   }
   if (!flags.get_string("kinds").empty()) {
     sweep.kinds.clear();
@@ -77,22 +70,7 @@ int main(int argc, char** argv) {
     sweep.base.switches = static_cast<std::size_t>(flags.get_int("switches"));
   }
 
-  std::vector<qv::experiments::RolloutChaosCell> cells;
-  try {
-    cells = qv::experiments::run_rollout_chaos_sweep(sweep);
-  } catch (const std::exception& e) {
-    // Exit 2: artifacts could not be written (e.g. an unusable --out).
-    std::fprintf(stderr, "rollout_chaos: %s\n", e.what());
-    return 2;
-  }
-  bool all_ok = true;
-  for (const auto& cell : cells) {
-    std::fputs(cell.summary.c_str(), stdout);
-    if (!cell.ok) {
-      std::fprintf(stderr, "rollout_chaos: CONTRACT VIOLATED (%s)\n",
-                   cell.stem.c_str());
-      all_ok = false;
-    }
-  }
-  return all_ok ? 0 : 1;
+  return qv::experiments::run_cli_sweep(
+      "rollout_chaos", "CONTRACT VIOLATED",
+      [&sweep] { return qv::experiments::run_rollout_chaos_sweep(sweep); });
 }

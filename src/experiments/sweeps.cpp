@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
 #include <functional>
-#include <stdexcept>
 
 #include "exec/sweep.hpp"
 #include "obs/json_writer.hpp"
@@ -66,21 +64,21 @@ std::string load_suffix(const std::vector<double>& loads, double load) {
   return buf;
 }
 
+}  // namespace
+
 void write_summary_json(const std::string& path, const char* experiment,
                         const std::function<void(obs::JsonWriter&)>& grid) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
-  obs::JsonWriter w(out);
-  w.begin_object();
-  w.key("experiment").value(experiment);
-  w.key("grid").begin_array();
-  grid(w);
-  w.end_array();
-  w.end_object();
-  out << "\n";
+  obs::save_artifact(path, [&](std::ostream& out) {
+    obs::JsonWriter w(out);
+    w.begin_object();
+    w.key("experiment").value(experiment);
+    w.key("grid").begin_array();
+    grid(w);
+    w.end_array();
+    w.end_object();
+    out << "\n";
+  });
 }
-
-}  // namespace
 
 // --- slugs / parsing ------------------------------------------------------
 
@@ -181,6 +179,19 @@ std::vector<double> parse_double_list(const std::string& csv, bool* ok) {
   }
   *ok = !out.empty();
   return out;
+}
+
+bool seeds_from_flags(const Flags& flags, const char* prog,
+                      std::vector<std::uint64_t>* seeds) {
+  const std::string& csv = flags.get_string("seeds");
+  if (csv.empty()) {
+    *seeds = {static_cast<std::uint64_t>(flags.get_int("seed"))};
+    return true;
+  }
+  bool ok = false;
+  *seeds = parse_u64_list(csv, &ok);
+  if (!ok) std::fprintf(stderr, "%s: bad --seeds '%s'\n", prog, csv.c_str());
+  return ok;
 }
 
 // --- fig2 -----------------------------------------------------------------

@@ -21,6 +21,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <exception>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,7 +31,9 @@
 #include "experiments/fig2.hpp"
 #include "experiments/fig4.hpp"
 #include "experiments/overload.hpp"
+#include "obs/json_writer.hpp"
 #include "trafficgen/adversary_source.hpp"
+#include "util/flags.hpp"
 
 namespace qv::experiments {
 
@@ -62,6 +67,45 @@ std::vector<Fig4Scheme> fig4_all_schemes();
 std::vector<std::uint64_t> parse_u64_list(const std::string& csv, bool* ok);
 /// "0.1,0.5,0.9" -> {0.1,0.5,0.9}; empty / malformed -> ok=false.
 std::vector<double> parse_double_list(const std::string& csv, bool* ok);
+/// The seed grid axis: `--seeds a,b,c` when given, else `--seed`.
+/// Prints "<prog>: bad --seeds '...'" and returns false on a malformed
+/// list.
+bool seeds_from_flags(const Flags& flags, const char* prog,
+                      std::vector<std::uint64_t>* seeds);
+
+/// The tail every experiment CLI shares: run the sweep (exit 2 when
+/// its artifacts cannot be written, e.g. an unusable --out), print each
+/// cell's captured log to stderr and summary to stdout, and exit 1 when
+/// a cell failed its run-level check (reported as `<prog>: <violation>
+/// (<stem>)`).
+template <typename Run>
+int run_cli_sweep(const char* prog, const char* violation, Run&& run) {
+  decltype(run()) cells;
+  try {
+    cells = run();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", prog, e.what());
+    return 2;
+  }
+  int code = 0;
+  for (const auto& cell : cells) {
+    if constexpr (requires { cell.log; }) {
+      std::fputs(cell.log.c_str(), stderr);
+    }
+    std::fputs(cell.summary.c_str(), stdout);
+    if (!cell.ok) {
+      std::fprintf(stderr, "%s: %s (%s)\n", prog, violation,
+                   cell.stem.c_str());
+      code = 1;
+    }
+  }
+  return code;
+}
+
+/// `<path>`: {"experiment": <experiment>, "grid": [<grid(w) rows>]}.
+/// Throws std::runtime_error naming `path` when it cannot be written.
+void write_summary_json(const std::string& path, const char* experiment,
+                        const std::function<void(obs::JsonWriter&)>& grid);
 
 // --- fig2: schemes x seeds ------------------------------------------------
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,10 +48,15 @@ class SamplerSet {
 
 /// Pre-schedule sampler ticks every `interval` on (0, end]. `sim` and
 /// `samplers` must outlive the scheduled events (experiments own both
-/// on the stack for the whole run).
+/// on the stack for the whole run). Throws std::invalid_argument when
+/// `interval` <= 0 (the tick times would never advance).
 template <typename Sched>
 void schedule_samplers(Sched& sim, SamplerSet& samplers, TimeNs interval,
                        TimeNs end) {
+  if (interval <= 0) {
+    throw std::invalid_argument("sampler interval must be > 0, got " +
+                                std::to_string(interval) + " ns");
+  }
   for (TimeNs t = interval; t <= end; t += interval) {
     sim.at(t, [&samplers, t] { samplers.tick(t); });
   }

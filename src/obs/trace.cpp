@@ -19,6 +19,8 @@ const char* trace_category_name(TraceCategory c) {
       return "runtime";
     case TraceCategory::kMgmt:
       return "mgmt";
+    case TraceCategory::kDataplane:
+      return "dataplane";
   }
   return "?";
 }
@@ -41,6 +43,7 @@ void Tracer::clear() {
   next_ = 0;
   count_ = 0;
   dropped_ = 0;
+  arg_lists_.clear();
 }
 
 std::vector<TraceEvent> Tracer::events() const {
@@ -112,7 +115,18 @@ void Tracer::write_json(std::ostream& out) const {
       w.raw(dur.str());
     }
     if (e.ph == 'i') w.key("s").value("t");  // thread-scoped instant
-    if (e.arg_name != nullptr) {
+    if (e.arg_name == kArgList) {
+      w.key("args").begin_object();
+      for (const TraceArg& a : arg_lists_[e.arg]) {
+        w.key(a.name);
+        if (a.boolean) {
+          w.value(a.value != 0);
+        } else {
+          w.value(a.value);
+        }
+      }
+      w.end_object();
+    } else if (e.arg_name != nullptr) {
       w.key("args").begin_object().key(e.arg_name).value(e.arg).end_object();
     }
     w.end_object();

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <string>
@@ -44,14 +45,22 @@ enum class TraceCategory : std::uint8_t {
   kQvisor = 2,   ///< preprocessor / synthesis / plan installs
   kRuntime = 3,  ///< runtime controller, monitor verdicts
   kMgmt = 4,     ///< config store ops, rollout waves/probes/aborts
+  kDataplane = 5,  ///< sharded dataplane: shard recoveries, quarantines
 };
 
 constexpr std::uint32_t trace_bit(TraceCategory c) {
   return 1u << static_cast<unsigned>(c);
 }
-inline constexpr std::uint32_t kTraceAll = 0x1F;
+inline constexpr std::uint32_t kTraceAll = 0x3F;
 
 const char* trace_category_name(TraceCategory c);
+
+/// One named arg of a multi-arg event (see Tracer::instant/complete).
+struct TraceArg {
+  const char* name;  ///< must outlive the tracer, like event names
+  std::uint64_t value;
+  bool boolean = false;  ///< render `value != 0` as true/false
+};
 
 struct TraceEvent {
   const char* name;   ///< must outlive the tracer (literal or interned)
@@ -61,7 +70,7 @@ struct TraceEvent {
   TimeNs ts;          ///< simulated time
   TimeNs dur;         ///< 'X' only; producers may record wall-clock ns
   const char* arg_name;  ///< nullptr = no args payload
-  std::uint64_t arg;
+  std::uint64_t arg;     ///< the value, or a multi-arg list index
 };
 
 class Tracer {
@@ -93,6 +102,18 @@ class Tracer {
     push({name, cat, 'C', tid, ts, 0, "value", value});
   }
 
+  // Cold-path variants with several args. The args live in a side
+  // table that only clear() empties, so these allocate: keep them off
+  // per-packet paths.
+  void instant(TraceCategory cat, const char* name, TimeNs ts,
+               std::uint32_t tid, std::initializer_list<TraceArg> args) {
+    push({name, cat, 'i', tid, ts, 0, kArgList, add_args(args)});
+  }
+  void complete(TraceCategory cat, const char* name, TimeNs ts, TimeNs dur,
+                std::uint32_t tid, std::initializer_list<TraceArg> args) {
+    push({name, cat, 'X', tid, ts, dur, kArgList, add_args(args)});
+  }
+
   /// Pin a dynamically-built label for the tracer's lifetime (per-port
   /// names). Setup-time only; interning the same string twice returns
   /// the first copy.
@@ -114,6 +135,14 @@ class Tracer {
   std::string to_json() const;
 
  private:
+  /// arg_name of an event whose args sit in arg_lists_[arg].
+  static constexpr char kArgList[] = "";
+
+  std::uint64_t add_args(std::initializer_list<TraceArg> args) {
+    arg_lists_.emplace_back(args);
+    return arg_lists_.size() - 1;
+  }
+
   void push(const TraceEvent& e) {
     affinity_.check();  // single-owner; compiles away under NDEBUG
     ring_[next_] = e;
@@ -132,6 +161,7 @@ class Tracer {
   std::uint32_t mask_ = 0;
   std::deque<std::string> interned_;
   std::map<std::uint32_t, std::string> thread_names_;
+  std::vector<std::vector<TraceArg>> arg_lists_;
   [[no_unique_address]] ThreadAffinity affinity_;
 };
 

@@ -493,169 +493,26 @@ void Fleet::upsert_tenant(TenantSpec spec) {
 
 // --- FleetController --------------------------------------------------------
 
-FleetController::FleetController(Fleet& fleet, RuntimeConfig config)
-    : fleet_(fleet), config_(config) {
-  for (const auto& spec : fleet_.tenants()) active_.push_back(spec.name);
+FleetController::FleetController(Fleet& fleet, ControllerConfig config)
+    : FleetLoop("fleet", fleet, config), activity_(fleet.tenants()) {}
+
+bool FleetController::observe(TimeNs now, std::vector<TenantId>& jail) {
+  return activity_.observe(
+             fleet_.tenants(), now, config().activity_window,
+             [this](TenantId id) { return fleet_.last_seen(id); }, jail) ||
+         fleet_.committed_epoch() == 0;
 }
 
-std::vector<std::string> FleetController::compute_active(TimeNs now) const {
-  std::vector<std::string> active;
-  bool any_seen = false;
-  for (const auto& spec : fleet_.tenants()) {
-    const auto seen = fleet_.last_seen(spec.id);
-    if (!seen) continue;
-    any_seen = true;
-    if (now - *seen <= config_.activity_window) {
-      active.push_back(spec.name);
-    }
-  }
-  if (!any_seen || active.empty()) {
-    active.clear();
-    for (const auto& spec : fleet_.tenants()) active.push_back(spec.name);
-  }
-  return active;
-}
-
-void FleetController::set_tracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  fleet_.set_tracer(tracer);
-}
-
-void FleetController::apply_hysteresis(TimeNs now) {
-  if (config_.quarantine_clean_window <= 0 || quarantined_.empty()) return;
-  for (const auto& name : quarantined_) {
-    for (const auto& spec : fleet_.tenants()) {
-      if (spec.name != name) continue;
-      const TimeNs last = fleet_.last_violation_at(spec.id);
-      if (last >= 0 && now - last >= config_.quarantine_clean_window) {
-        fleet_.reset_monitor(spec.id);
-        ++unquarantines_;
-        if (obs::Tracer* tr = runtime_tracer()) {
-          tr->instant(obs::TraceCategory::kRuntime, "unquarantine", now,
-                      /*tid=*/0, "tenant", spec.id);
-        }
-      }
-    }
-  }
-}
-
-bool FleetController::tick(TimeNs now) {
-  // Anti-entropy always runs: switches that missed the committed epoch
-  // (failed rollback push, agent reboot) heal on the controller's
-  // cadence regardless of backoff or activity state.
-  fleet_.reconcile(now);
-
-  if (consecutive_failures_ > 0) {
-    if (now < next_retry_at_) return false;
-  } else if (last_reconfig_ >= 0 &&
-             now - last_reconfig_ < config_.min_reconfig_interval) {
-    return false;
-  }
-  const bool is_retry = consecutive_failures_ > 0;
-
-  apply_hysteresis(now);
-
-  std::vector<std::string> active = compute_active(now);
-  std::sort(active.begin(), active.end());
-
-  std::vector<std::string> quarantined;
-  if (config_.quarantine_adversarial) {
-    for (const TenantId id : fleet_.adversarial()) {
-      for (const auto& spec : fleet_.tenants()) {
-        if (spec.id == id &&
-            std::find(active.begin(), active.end(), spec.name) !=
-                active.end()) {
-          quarantined.push_back(spec.name);
-        }
-      }
-    }
-    std::sort(quarantined.begin(), quarantined.end());
-  }
-
-  const bool changed =
-      active != active_ || quarantined != quarantined_ || is_retry ||
-      fleet_.committed_epoch() == 0;
-  if (!changed) return false;
-
-  // Effective policy: operator policy restricted to the clean active
-  // tenants, quarantined tenants appended as one strictly-lowest tier
-  // (same jail shape as RuntimeController).
-  std::vector<std::string> clean;
-  for (const auto& name : active) {
-    if (std::find(quarantined.begin(), quarantined.end(), name) ==
-        quarantined.end()) {
-      clean.push_back(name);
-    }
-  }
+AdaptiveController::Deploy FleetController::deploy(
+    const std::vector<TenantId>& jail, TimeNs now) {
   const OperatorPolicy saved = fleet_.policy();
-  OperatorPolicy effective = saved.restricted_to(clean);
-  if (!quarantined.empty()) {
-    auto tiers = effective.tiers();
-    PriorityTier jail;
-    SharingGroup cell;
-    cell.tenants = quarantined;
-    jail.groups.push_back(std::move(cell));
-    tiers.push_back(std::move(jail));
-    effective = OperatorPolicy(std::move(tiers));
-  }
-
-  if (is_retry) {
-    ++retries_;
-    if (obs::Tracer* tr = runtime_tracer()) {
-      tr->instant(obs::TraceCategory::kRuntime, "recompile:retry", now,
-                  /*tid=*/0, "attempt",
-                  static_cast<std::uint64_t>(consecutive_failures_));
-    }
-  }
+  const OperatorPolicy effective =
+      activity_.policy(saved, fleet_.tenants(), jail);
   fleet_.set_policy(effective);
-  const auto result = fleet_.compile_for(effective.tenant_names(), now);
+  auto result = fleet_.compile_for(effective.tenant_names(), now);
   fleet_.set_policy(saved);  // the operator's intent is permanent
-  if (!result.ok) {
-    ++consecutive_failures_;
-    const int shift = std::min(consecutive_failures_ - 1, 30);
-    const TimeNs backoff = std::min(
-        config_.retry_backoff_cap,
-        static_cast<TimeNs>(config_.retry_backoff) << shift);
-    next_retry_at_ = now + backoff;
-    if (consecutive_failures_ > config_.retry_budget && !degraded_) {
-      degraded_ = true;
-      ++degraded_entries_;
-      fleet_.set_degraded(true);
-      if (obs::Tracer* tr = runtime_tracer()) {
-        tr->instant(obs::TraceCategory::kRuntime, "degraded:enter", now,
-                    /*tid=*/0, "failures",
-                    static_cast<std::uint64_t>(consecutive_failures_));
-      }
-      QV_WARN << "fleet controller degraded after "
-              << consecutive_failures_ << " consecutive failures";
-    }
-    QV_WARN << "fleet adaptation failed: " << result.error;
-    return false;
-  }
-  consecutive_failures_ = 0;
-  next_retry_at_ = -1;
-  if (degraded_) {
-    degraded_ = false;
-    ++recoveries_;
-    fleet_.set_degraded(false);
-    if (obs::Tracer* tr = runtime_tracer()) {
-      tr->instant(obs::TraceCategory::kRuntime, "degraded:exit", now);
-    }
-  }
-  if (quarantined != quarantined_) {
-    quarantines_ += quarantined.size() > quarantined_.size()
-                        ? quarantined.size() - quarantined_.size()
-                        : 0;
-    if (obs::Tracer* tr = runtime_tracer()) {
-      tr->instant(obs::TraceCategory::kRuntime, "quarantine", now,
-                  /*tid=*/0, "tenants", quarantined.size());
-    }
-    quarantined_ = std::move(quarantined);
-  }
-  active_ = std::move(active);
-  ++adaptations_;
-  last_reconfig_ = now;
-  return true;
+  if (result.ok) activity_.commit(jail);
+  return {result.ok, true, std::move(result.error)};
 }
 
 }  // namespace qv::qvisor

@@ -222,77 +222,56 @@ class Fleet {
   bool degraded_ = false;
 };
 
-/// Fleet-level runtime controller: like RuntimeController, but the
-/// active set is "seen recently on ANY switch", quarantine verdicts
-/// aggregate across switches, and re-synthesis deploys fleet-wide
-/// (two-phase, with the Fleet's rollback + reconcile machinery). The
-/// self-healing behaviour mirrors RuntimeController: failed deploys
-/// retry with capped exponential backoff, an exhausted retry budget
-/// degrades every switch to pass-through ranks, and quarantined
-/// tenants are forgiven after a clean window.
-class FleetController {
+/// The adaptive loop over a Fleet: anti-entropy (reconcile) on every
+/// tick before the cadence gate, quarantine verdicts aggregated across
+/// switches, degraded mode fleet-wide. Deploy targets that run on a
+/// fleet derive from it.
+class FleetLoop : public AdaptiveController {
  public:
-  FleetController(Fleet& fleet, RuntimeConfig config = {});
-
-  /// Anti-entropy first (heal switches that missed the committed
-  /// epoch), then activity/quarantine evaluation and — if the tenant
-  /// set changed or a retry is due — a fleet-wide redeploy. Returns
-  /// true when a new plan was committed fleet-wide.
-  bool tick(TimeNs now);
-
-  const std::vector<std::string>& active_tenants() const { return active_; }
-  std::uint64_t adaptations() const { return adaptations_; }
-  std::uint64_t quarantines() const { return quarantines_; }
-  std::uint64_t retries() const { return retries_; }
-  std::uint64_t degraded_entries() const { return degraded_entries_; }
-  std::uint64_t recoveries() const { return recoveries_; }
-  std::uint64_t unquarantines() const { return unquarantines_; }
-  bool degraded() const { return degraded_; }
-  const RuntimeConfig& config() const { return config_; }
-
-  /// Attach a tracer (not owned): forwarded to the fleet, plus
-  /// controller-level retry/degraded/quarantine instants.
-  void set_tracer(obs::Tracer* tracer);
-
-  /// Publish adaptation counters as live registry views.
-  void export_metrics(obs::Registry& reg, const std::string& prefix) const {
-    reg.counter_view(prefix + ".adaptations", &adaptations_);
-    reg.counter_view(prefix + ".quarantines", &quarantines_);
-    reg.counter_view(prefix + ".retries", &retries_);
-    reg.counter_view(prefix + ".degraded_entries", &degraded_entries_);
-    reg.counter_view(prefix + ".recoveries", &recoveries_);
-    reg.counter_view(prefix + ".unquarantines", &unquarantines_);
-    reg.gauge(prefix + ".degraded",
-              [this]() { return degraded_ ? 1.0 : 0.0; });
+  /// Also forwarded to the fleet (install failures, rollbacks and
+  /// reconciles become `runtime` events).
+  void set_tracer(obs::Tracer* tracer) override {
+    AdaptiveController::set_tracer(tracer);
+    fleet_.set_tracer(tracer);
   }
 
- private:
-  std::vector<std::string> compute_active(TimeNs now) const;
-  void apply_hysteresis(TimeNs now);
-  obs::Tracer* runtime_tracer() const {
-    return tracer_ != nullptr &&
-                   tracer_->enabled(obs::TraceCategory::kRuntime)
-               ? tracer_
-               : nullptr;
+ protected:
+  FleetLoop(const char* name, Fleet& fleet, ControllerConfig config)
+      : AdaptiveController(name, config), fleet_(fleet) {}
+
+  void heal(TimeNs now) override { fleet_.reconcile(now); }
+  std::vector<TenantId> adversarial() const override {
+    return fleet_.adversarial();
   }
+  TimeNs last_violation_at(TenantId tenant) const override {
+    return fleet_.last_violation_at(tenant);
+  }
+  void reset_monitor(TenantId tenant) override { fleet_.reset_monitor(tenant); }
+  void set_degraded(bool degraded) override { fleet_.set_degraded(degraded); }
 
   Fleet& fleet_;
-  RuntimeConfig config_;
-  std::vector<std::string> active_;
-  std::vector<std::string> quarantined_;
-  TimeNs last_reconfig_ = -1;
-  std::uint64_t adaptations_ = 0;
-  std::uint64_t quarantines_ = 0;
-  obs::Tracer* tracer_ = nullptr;
+};
 
-  // Self-healing state (mirrors RuntimeController).
-  int consecutive_failures_ = 0;
-  TimeNs next_retry_at_ = -1;
-  bool degraded_ = false;
-  std::uint64_t retries_ = 0;
-  std::uint64_t degraded_entries_ = 0;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t unquarantines_ = 0;
+/// Per-tenant plans deployed fleet-wide: the active set is "seen
+/// recently on ANY switch", and every deploy is a two-phase commit at
+/// one fleet epoch (with the Fleet's rollback + reconcile machinery).
+class FleetController : public FleetLoop {
+ public:
+  FleetController(Fleet& fleet, ControllerConfig config = {});
+
+  const std::vector<std::string>& active_tenants() const {
+    return activity_.active();
+  }
+  const std::vector<TenantId>& quarantined() const override {
+    return activity_.jailed();
+  }
+
+ protected:
+  bool observe(TimeNs now, std::vector<TenantId>& jail) override;
+  Deploy deploy(const std::vector<TenantId>& jail, TimeNs now) override;
+
+ private:
+  TenantActivity activity_;
 };
 
 }  // namespace qv::qvisor

@@ -1,12 +1,20 @@
 #include "qvisor/runtime.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include "qvisor/quantile_transform.hpp"
-#include "util/logging.hpp"
 
 namespace qv::qvisor {
+
+RuntimeController::RuntimeController(Hypervisor& hv, RuntimeConfig config)
+    : AdaptiveController("runtime", config),
+      hv_(hv),
+      config_(config),
+      activity_(hv.tenants()) {}
+
+void RuntimeController::export_metrics(obs::Registry& reg,
+                                       const std::string& prefix) const {
+  AdaptiveController::export_metrics(reg, prefix);
+  reg.counter_view(prefix + ".refinements", &refinements_);
+}
 
 bool RuntimeController::refine_quantiles() {
   std::unordered_map<TenantId, const RankDistEstimator*> estimators;
@@ -16,135 +24,29 @@ bool RuntimeController::refine_quantiles() {
   std::size_t refined = 0;
   SynthesisPlan plan = refine_with_quantiles(
       hv_.plan(), estimators, config_.quantile_min_samples, &refined);
-  if (refined == 0) return false;
-  if (!hv_.install_refined(std::move(plan))) return false;
+  if (refined == 0 || !hv_.install_refined(std::move(plan))) return false;
   ++refinements_;
   return true;
 }
 
-RuntimeController::RuntimeController(Hypervisor& hv, RuntimeConfig config)
-    : hv_(hv), config_(config) {
-  for (const auto& spec : hv_.tenants()) active_.push_back(spec.name);
+bool RuntimeController::observe(TimeNs now, std::vector<TenantId>& jail) {
+  const auto last_seen = [this](TenantId id) -> std::optional<TimeNs> {
+    const RankDistEstimator* est = hv_.find_estimator(id);
+    if (est == nullptr || est->empty()) return std::nullopt;
+    return est->last_observation();
+  };
+  return activity_.observe(hv_.tenants(), now, config_.activity_window,
+                           last_seen, jail) ||
+         !hv_.has_plan();
 }
 
-std::vector<std::string> RuntimeController::compute_active(
-    TimeNs now) const {
-  std::vector<std::string> active;
-  bool any_seen = false;
-  for (const auto& spec : hv_.tenants()) {
-    const RankDistEstimator* est = hv_.find_estimator(spec.id);
-    if (est == nullptr || est->empty()) continue;
-    any_seen = true;
-    if (now - est->last_observation() <= config_.activity_window) {
-      active.push_back(spec.name);
-    }
-  }
-  if (!any_seen || active.empty()) {
-    // Nothing observed yet (startup) or a global lull: keep every
-    // tenant provisioned rather than tearing the plan down.
-    active.clear();
-    for (const auto& spec : hv_.tenants()) active.push_back(spec.name);
-  }
-  return active;
-}
-
-void RuntimeController::apply_hysteresis(TimeNs now) {
-  if (config_.quarantine_clean_window <= 0 || quarantined_.empty()) return;
-  for (const auto& name : quarantined_) {
-    for (const auto& spec : hv_.tenants()) {
-      if (spec.name != name) continue;
-      const TimeNs last = hv_.monitor().last_violation_at(spec.id);
-      if (last >= 0 && now - last >= config_.quarantine_clean_window) {
-        // Forgiven: wipe the monitor state so the adversarial verdict
-        // recomputes from post-release behaviour only. The jail tier
-        // lifts on this very tick, since the tenant no longer appears
-        // in monitor().adversarial().
-        hv_.monitor().reset(spec.id);
-        ++unquarantines_;
-        if (tracer_ != nullptr &&
-            tracer_->enabled(obs::TraceCategory::kRuntime)) {
-          tracer_->instant(obs::TraceCategory::kRuntime, "unquarantine",
-                           now, /*tid=*/0, "tenant", spec.id);
-        }
-      }
-    }
-  }
-}
-
-bool RuntimeController::tick(TimeNs now) {
-  if (consecutive_failures_ > 0) {
-    // Failure streak: the backoff schedule overrides the regular
-    // cadence — retry exactly when the backoff expires.
-    if (now < next_retry_at_) return false;
-  } else if (last_reconfig_ >= 0 &&
-             now - last_reconfig_ < config_.min_reconfig_interval) {
-    return false;
-  }
-  const bool is_retry = consecutive_failures_ > 0;
-
-  apply_hysteresis(now);
-
-  std::vector<std::string> active = compute_active(now);
-  std::sort(active.begin(), active.end());
-
-  std::vector<std::string> quarantined;
-  if (config_.quarantine_adversarial) {
-    for (const TenantId id : hv_.monitor().adversarial()) {
-      for (const auto& spec : hv_.tenants()) {
-        if (spec.id == id &&
-            std::find(active.begin(), active.end(), spec.name) !=
-                active.end()) {
-          quarantined.push_back(spec.name);
-        }
-      }
-    }
-    std::sort(quarantined.begin(), quarantined.end());
-  }
-
-  // A pending retry always attempts the recompile, even if nothing
-  // else changed — the whole point is to heal the failed install.
-  const bool changed = active != active_ || quarantined != quarantined_ ||
-                       !hv_.has_plan() || is_retry;
-  if (!changed) {
-    // Even with a stable tenant set, live distributions drift: refresh
-    // the quantile normalization if it is enabled.
-    if (config_.quantile_normalization && hv_.has_plan() &&
-        refine_quantiles()) {
-      if (tracer_ != nullptr &&
-          tracer_->enabled(obs::TraceCategory::kRuntime)) {
-        tracer_->instant(obs::TraceCategory::kRuntime, "refine", now);
-      }
-      last_reconfig_ = now;
-      return true;
-    }
-    return false;
-  }
-
-  // Build the effective policy: the operator policy restricted to the
-  // clean active tenants, with quarantined tenants appended as one
-  // strictly-lowest tier.
-  std::vector<std::string> clean;
-  for (const auto& name : active) {
-    if (std::find(quarantined.begin(), quarantined.end(), name) ==
-        quarantined.end()) {
-      clean.push_back(name);
-    }
-  }
-  OperatorPolicy base = hv_.policy();
-  OperatorPolicy effective = base.restricted_to(clean);
-  if (!quarantined.empty()) {
-    auto tiers = effective.tiers();
-    PriorityTier jail;
-    SharingGroup cell;
-    cell.tenants = quarantined;
-    jail.groups.push_back(std::move(cell));
-    tiers.push_back(std::move(jail));
-    effective = OperatorPolicy(std::move(tiers));
-  }
-
-  // Optionally tighten declared bounds from live observations before
-  // synthesizing.
+AdaptiveController::Deploy RuntimeController::deploy(
+    const std::vector<TenantId>& jail, TimeNs /*now*/) {
+  const OperatorPolicy saved = hv_.policy();
+  const OperatorPolicy effective =
+      activity_.policy(saved, hv_.tenants(), jail);
   if (config_.tighten_bounds) {
+    // Declared bounds -> observed ones, before synthesizing.
     for (const auto& spec : hv_.tenants()) {
       auto& est = hv_.estimator(spec.id);
       if (est.samples() >= config_.tighten_min_samples) {
@@ -154,91 +56,14 @@ bool RuntimeController::tick(TimeNs now) {
       }
     }
   }
-
-  obs::Tracer* tr =
-      tracer_ != nullptr && tracer_->enabled(obs::TraceCategory::kRuntime)
-          ? tracer_
-          : nullptr;
-
-  const OperatorPolicy saved = hv_.policy();
   hv_.set_policy(effective);
-  const auto wall0 = std::chrono::steady_clock::now();
-  if (is_retry) {
-    ++retries_;
-    if (tr != nullptr) {
-      tr->instant(obs::TraceCategory::kRuntime, "recompile:retry", now,
-                  /*tid=*/0, "attempt",
-                  static_cast<std::uint64_t>(consecutive_failures_));
-    }
-  }
   auto result = hv_.compile_for(effective.tenant_names());
-  const auto recompile_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - wall0)
-          .count();
   hv_.set_policy(saved);  // the operator's intent is permanent
-  if (!result.ok) {
-    ++consecutive_failures_;
-    const int shift = std::min(consecutive_failures_ - 1, 30);
-    const TimeNs backoff = std::min(
-        config_.retry_backoff_cap,
-        static_cast<TimeNs>(config_.retry_backoff) << shift);
-    next_retry_at_ = now + backoff;
-    if (tr != nullptr) {
-      tr->instant(obs::TraceCategory::kRuntime, "recompile:failed", now,
-                  /*tid=*/0, "failures",
-                  static_cast<std::uint64_t>(consecutive_failures_));
-    }
-    if (consecutive_failures_ > config_.retry_budget && !degraded_) {
-      // Budget exhausted: the control plane cannot land a plan, so
-      // stop trusting possibly-stale transforms — every port falls
-      // back to scheduling by the tenant-assigned label.
-      degraded_ = true;
-      ++degraded_entries_;
-      hv_.set_degraded(true);
-      if (tr != nullptr) {
-        tr->instant(obs::TraceCategory::kRuntime, "degraded:enter", now,
-                    /*tid=*/0, "failures",
-                    static_cast<std::uint64_t>(consecutive_failures_));
-      }
-      QV_WARN << "runtime controller degraded after "
-              << consecutive_failures_ << " consecutive failures";
-    }
-    QV_WARN << "runtime adaptation failed: " << result.error;
-    return false;
+  if (result.ok) {
+    if (config_.quantile_normalization) refine_quantiles();
+    activity_.commit(jail);
   }
-  consecutive_failures_ = 0;
-  next_retry_at_ = -1;
-  if (degraded_) {
-    degraded_ = false;
-    ++recoveries_;
-    hv_.set_degraded(false);
-    if (tr != nullptr) {
-      tr->instant(obs::TraceCategory::kRuntime, "degraded:exit", now);
-    }
-  }
-  if (tr != nullptr) {
-    // Span at the decision's simulated time; duration = wall-clock
-    // synthesis + verification cost (what a reconfig costs to compute).
-    tr->complete(obs::TraceCategory::kRuntime, "recompile", now,
-                 static_cast<TimeNs>(recompile_ns), /*tid=*/0,
-                 "active_tenants", active.size());
-    if (quarantined != quarantined_) {
-      tr->instant(obs::TraceCategory::kRuntime, "quarantine", now, /*tid=*/0,
-                  "tenants", quarantined.size());
-    }
-  }
-  if (config_.quantile_normalization) refine_quantiles();
-  active_ = std::move(active);
-  if (quarantined != quarantined_) {
-    quarantines_ += quarantined.size() > quarantined_.size()
-                        ? quarantined.size() - quarantined_.size()
-                        : 0;
-    quarantined_ = std::move(quarantined);
-  }
-  ++adaptations_;
-  last_reconfig_ = now;
-  return true;
+  return {result.ok, true, std::move(result.error)};
 }
 
 }  // namespace qv::qvisor

@@ -1,36 +1,22 @@
-// Runtime adaptation (paper §2, Idea 2): "an event-driven controller
-// could synthesize a new scheduling policy after the first packets of a
-// new workload arrived, and deploy it into the data plane".
-//
-// The RuntimeController polls the hypervisor's per-tenant observations
-// (driven by a simulator timer in experiments), derives the set of
-// ACTIVE tenants, and re-compiles whenever that set changes — so when
-// T1/T2 go quiet at the paper's t1 and T3 lights up (Fig. 2), T3's band
-// expands to the full rank space automatically. Tenants the monitor
-// judges adversarial are quarantined: demoted to a strictly-lowest
-// tier before synthesis.
+// Runtime adaptation on one switch: the adaptive loop
+// (qvisor/adaptive.hpp) deployed to a Hypervisor. It polls the
+// hypervisor's per-tenant observations (driven by a simulator timer in
+// experiments) and re-compiles whenever the ACTIVE tenant set or the
+// jail set changes — so when T1/T2 go quiet at the paper's t1 and T3
+// lights up (Fig. 2), T3's band expands to the full rank space.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "obs/trace.hpp"
+#include "qvisor/adaptive.hpp"
 #include "qvisor/qvisor.hpp"
-#include "util/time.hpp"
 
 namespace qv::qvisor {
 
-struct RuntimeConfig {
-  /// A tenant is active if it sent a packet within this window.
-  TimeNs activity_window = milliseconds(10);
-
-  /// Do not re-compile more often than this (data-plane churn guard).
-  TimeNs min_reconfig_interval = milliseconds(1);
-
-  /// Demote tenants the monitor flags as adversarial to a bottom tier.
-  bool quarantine_adversarial = true;
-
+/// The loop's settings plus the tuning only a hypervisor target honours.
+struct RuntimeConfig : ControllerConfig {
   /// Replace declared rank bounds with observed ones when enough
   /// samples exist (paper §5 "optimizing configurations at runtime").
   bool tighten_bounds = false;
@@ -41,98 +27,50 @@ struct RuntimeConfig {
   /// transforms from "the distribution of the latest packets").
   bool quantile_normalization = false;
   std::size_t quantile_min_samples = 128;
-
-  /// Self-healing: consecutive recompile failures tolerated before the
-  /// controller gives up and degrades the data plane. Failed attempts
-  /// are retried with exponential backoff (doubling from
-  /// `retry_backoff`, capped at `retry_backoff_cap`) instead of the
-  /// regular reconfig cadence.
-  int retry_budget = 3;
-  TimeNs retry_backoff = milliseconds(1);
-  TimeNs retry_backoff_cap = milliseconds(64);
-
-  /// Quarantine hysteresis: a quarantined tenant whose last violation
-  /// is at least this long ago is forgiven (its monitor state resets,
-  /// so the next tick lifts the jail tier). 0 = never release (legacy
-  /// behaviour).
-  TimeNs quarantine_clean_window = 0;
 };
 
-class RuntimeController {
+class RuntimeController : public AdaptiveController {
  public:
   RuntimeController(Hypervisor& hv, RuntimeConfig config = {});
 
-  /// Evaluate activity and (if needed) re-synthesize + install.
-  /// Returns true when a new plan was deployed.
-  bool tick(TimeNs now);
-
-  const std::vector<std::string>& active_tenants() const { return active_; }
-  std::uint64_t adaptations() const { return adaptations_; }
-  std::uint64_t quarantines() const { return quarantines_; }
+  const std::vector<std::string>& active_tenants() const {
+    return activity_.active();
+  }
+  const std::vector<TenantId>& quarantined() const override {
+    return activity_.jailed();
+  }
   /// Quantile-refinement installs (including refresh-only ticks).
   std::uint64_t refinements() const { return refinements_; }
-  /// Recompile attempts re-issued after a failure (self-healing).
-  std::uint64_t retries() const { return retries_; }
-  /// Times the retry budget ran out and the data plane degraded.
-  std::uint64_t degraded_entries() const { return degraded_entries_; }
-  /// Times a later recompile succeeded and lifted degraded mode.
-  std::uint64_t recoveries() const { return recoveries_; }
-  /// Tenants forgiven after a clean window (quarantine hysteresis).
-  std::uint64_t unquarantines() const { return unquarantines_; }
-  /// True while the data plane runs degraded pass-through ranks.
-  bool degraded() const { return degraded_; }
   const RuntimeConfig& config() const { return config_; }
 
-  /// Attach a tracer (not owned): re-synthesis becomes a
-  /// `runtime`-category span whose duration is the wall-clock cost of
-  /// the recompile, and quarantine decisions become instants.
-  void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
+  void export_metrics(obs::Registry& reg,
+                      const std::string& prefix) const override;
 
-  /// Publish adaptation counters as live registry views.
-  void export_metrics(obs::Registry& reg, const std::string& prefix) const {
-    reg.counter_view(prefix + ".adaptations", &adaptations_);
-    reg.counter_view(prefix + ".quarantines", &quarantines_);
-    reg.counter_view(prefix + ".refinements", &refinements_);
-    reg.counter_view(prefix + ".retries", &retries_);
-    reg.counter_view(prefix + ".degraded_entries", &degraded_entries_);
-    reg.counter_view(prefix + ".recoveries", &recoveries_);
-    reg.counter_view(prefix + ".unquarantines", &unquarantines_);
-    reg.gauge(prefix + ".degraded",
-              [this]() { return degraded_ ? 1.0 : 0.0; });
+ protected:
+  std::vector<TenantId> adversarial() const override {
+    return hv_.monitor().adversarial();
+  }
+  TimeNs last_violation_at(TenantId tenant) const override {
+    return hv_.monitor().last_violation_at(tenant);
+  }
+  void reset_monitor(TenantId tenant) override { hv_.monitor().reset(tenant); }
+  void set_degraded(bool degraded) override { hv_.set_degraded(degraded); }
+  bool observe(TimeNs now, std::vector<TenantId>& jail) override;
+  Deploy deploy(const std::vector<TenantId>& jail, TimeNs now) override;
+  /// Live distributions drift: refresh the quantile normalization.
+  bool refresh() override {
+    return config_.quantile_normalization && hv_.has_plan() &&
+           refine_quantiles();
   }
 
  private:
-  /// Active = observed within the window. Before any traffic at all,
-  /// every tenant counts as active (the initial full plan).
-  std::vector<std::string> compute_active(TimeNs now) const;
-
-  /// Apply quantile refinement to the currently installed plan.
-  /// Returns true if any tenant's normalization changed.
+  /// Quantile-refine the installed plan; true if any transform changed.
   bool refine_quantiles();
-
-  /// Release quarantined tenants whose clean window elapsed (resets
-  /// their monitor state so the verdict recomputes from scratch).
-  void apply_hysteresis(TimeNs now);
 
   Hypervisor& hv_;
   RuntimeConfig config_;
-  std::vector<std::string> active_;
-  std::vector<std::string> quarantined_;
-  TimeNs last_reconfig_ = -1;
-  std::uint64_t adaptations_ = 0;
-  std::uint64_t quarantines_ = 0;
+  TenantActivity activity_;
   std::uint64_t refinements_ = 0;
-  obs::Tracer* tracer_ = nullptr;
-
-  // Self-healing state: failure streak, next allowed retry time, and
-  // whether the data plane is currently degraded.
-  int consecutive_failures_ = 0;
-  TimeNs next_retry_at_ = -1;
-  bool degraded_ = false;
-  std::uint64_t retries_ = 0;
-  std::uint64_t degraded_entries_ = 0;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t unquarantines_ = 0;
 };
 
 }  // namespace qv::qvisor

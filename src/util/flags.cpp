@@ -7,11 +7,12 @@
 namespace qv {
 
 void Flags::define_int(const std::string& name, std::int64_t default_value,
-                       const std::string& help) {
+                       const std::string& help, std::int64_t min_value) {
   Def d;
   d.type = Type::kInt;
   d.help = help;
   d.int_value = default_value;
+  d.int_min = min_value;
   defs_[name] = std::move(d);
 }
 
@@ -54,6 +55,12 @@ bool Flags::set_value(const std::string& name, const std::string& value) {
     switch (d.type) {
       case Type::kInt:
         d.int_value = std::stoll(value);
+        if (d.int_value < d.int_min) {
+          std::fprintf(stderr, "bad value for --%s: %s (must be >= %lld)\n",
+                       name.c_str(), value.c_str(),
+                       static_cast<long long>(d.int_min));
+          return false;
+        }
         break;
       case Type::kDouble:
         d.double_value = std::stod(value);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,9 +20,12 @@ class Flags {
   bool parse(int argc, char** argv);
 
   /// Declare flags before parse(); declaration supplies the default and
-  /// the help text printed by `--help`.
+  /// the help text printed by `--help`. parse() rejects an int below
+  /// `min_value`.
   void define_int(const std::string& name, std::int64_t default_value,
-                  const std::string& help);
+                  const std::string& help,
+                  std::int64_t min_value =
+                      std::numeric_limits<std::int64_t>::min());
   void define_double(const std::string& name, double default_value,
                      const std::string& help);
   void define_string(const std::string& name, const std::string& default_value,
@@ -47,6 +51,7 @@ class Flags {
     Type type;
     std::string help;
     std::int64_t int_value = 0;
+    std::int64_t int_min = 0;
     double double_value = 0.0;
     std::string string_value;
     bool bool_value = false;

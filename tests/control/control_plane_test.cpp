@@ -435,6 +435,54 @@ TEST_F(GroupControllerTest, RecidivistAtForgivenessBoundaryDoesNotFlap) {
   EXPECT_EQ(cp_.deployed()->group_count(), 3u);
 }
 
+TEST_F(GroupControllerTest, FailedQuarantineBacksOffDegradesAndRecovers) {
+  auto port = fleet_.make_port_scheduler(0);
+  for (int i = 0; i < 200; ++i) {
+    port->enqueue(labeled(3, 5000), milliseconds(1));
+  }
+  qvisor::RuntimeConfig cfg;
+  cfg.min_reconfig_interval = 0;
+  cfg.retry_budget = 2;
+  cfg.retry_backoff = milliseconds(2);
+  cfg.retry_backoff_cap = milliseconds(4);
+  GroupFleetController ctl(cp_, cfg);
+
+  // leaf1's agent rejects every install: the jail deploy fails
+  // fleet-wide (all-or-nothing).
+  fleet_.set_install_fault(
+      [](std::size_t sw, std::uint64_t) { return sw == 1; });
+  EXPECT_FALSE(ctl.tick(milliseconds(2)));  // failure #1, backoff 2ms
+  EXPECT_TRUE(ctl.quarantined().empty());
+  EXPECT_FALSE(ctl.tick(milliseconds(3)));  // inside backoff: no attempt
+  EXPECT_EQ(ctl.retries(), 0u);
+  EXPECT_FALSE(ctl.tick(milliseconds(4)));  // retry #1 fails, backoff 4ms
+  EXPECT_EQ(ctl.retries(), 1u);
+  EXPECT_FALSE(ctl.tick(milliseconds(7)));  // still inside backoff
+  EXPECT_EQ(ctl.retries(), 1u);
+  EXPECT_FALSE(ctl.degraded());
+
+  // Retry #2 fails too: the budget of 2 retries is spent.
+  EXPECT_FALSE(ctl.tick(milliseconds(8)));
+  EXPECT_EQ(ctl.retries(), 2u);
+  EXPECT_TRUE(ctl.degraded());
+  EXPECT_EQ(ctl.degraded_entries(), 1u);
+  EXPECT_TRUE(fleet_.degraded());
+  EXPECT_FALSE(ctl.tick(milliseconds(11)));  // capped backoff: due at 12
+  EXPECT_EQ(ctl.retries(), 2u);
+
+  // The agent comes back: the next due retry jails tenant 3 everywhere
+  // and lifts degraded mode.
+  fleet_.set_install_fault({});
+  ASSERT_TRUE(ctl.tick(milliseconds(12)));
+  EXPECT_EQ(ctl.retries(), 3u);
+  EXPECT_EQ(ctl.quarantined(), (std::vector<TenantId>{3}));
+  EXPECT_FALSE(ctl.degraded());
+  EXPECT_FALSE(fleet_.degraded());
+  EXPECT_EQ(ctl.recoveries(), 1u);
+  EXPECT_EQ(ctl.degraded_entries(), 1u);
+  EXPECT_TRUE(fleet_.epochs_consistent());
+}
+
 TEST_F(GroupControllerTest, TickRunsAntiEntropyEvenWhenIdle) {
   fleet_.hypervisor(2).clear_plan();
   EXPECT_FALSE(fleet_.epochs_consistent());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "netsim/simulator.hpp"
@@ -47,6 +48,18 @@ TEST(ScheduleSamplers, DrivesTicksOnTheSimulatorCadence) {
   // Ticks on (0, end]: 100, 200, 300, 400 (450 is not a multiple).
   EXPECT_EQ(seen, (std::vector<TimeNs>{100, 200, 300, 400}));
   EXPECT_EQ(set.ticks(), 4u);
+}
+
+TEST(ScheduleSamplers, RejectsANonPositiveInterval) {
+  // An interval of 0 (or below) never advances the tick time: it must
+  // fail loudly instead of growing the event queue without bound.
+  netsim::Simulator sim;
+  SamplerSet set;
+  EXPECT_THROW(schedule_samplers(sim, set, /*interval=*/0, /*end=*/450),
+               std::invalid_argument);
+  EXPECT_THROW(schedule_samplers(sim, set, /*interval=*/-100, /*end=*/450),
+               std::invalid_argument);
+  EXPECT_TRUE(sim.idle());
 }
 
 }  // namespace

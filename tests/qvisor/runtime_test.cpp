@@ -124,7 +124,6 @@ TEST_F(RuntimeTest, QuarantinesAdversarialTenant) {
   RuntimeConfig cfg;
   cfg.activity_window = milliseconds(50);
   cfg.min_reconfig_interval = 0;
-  cfg.quarantine_adversarial = true;
   RuntimeController rc(hv_, cfg);
 
   // Tenant A floods with out-of-bounds ranks; B behaves.
