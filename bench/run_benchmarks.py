@@ -616,10 +616,6 @@ def run_dataplane_mode(args):
     for _ in range(compare_runs):
         pair = {}
         for label, sup in (("off", "false"), ("on", "true")):
-            # --supervision=false MUST use the = form: the space form
-            # "--supervision false" parses as supervision ON plus a
-            # positional, which silently turned this off/on comparison
-            # into on/on.
             r = run_dataplane_cell(binary, [
                 "--shards", "1", "--packets", str(packets),
                 "--fused=true", f"--supervision={sup}"])
@@ -733,8 +729,6 @@ def git_commit():
 
 def run_simcore_cell(binary, scheme, load, per_event):
     """One timed bench_simcore invocation -> parsed JSON."""
-    # NB: bool flags must use the --flag=value form — a space-separated
-    # "--flag false" parses as "--flag" (true) plus a positional.
     out = run_child([binary, "--scheme", scheme, "--load", str(load),
                      f"--per-event={'true' if per_event else 'false'}"])
     return json.loads(out.stdout)

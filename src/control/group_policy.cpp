@@ -1,100 +1,13 @@
 #include "control/group_policy.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <unordered_map>
 #include <unordered_set>
+
+#include "qvisor/policy_lexer.hpp"
 
 namespace qv::control {
 
 namespace {
-
-bool is_name_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool is_name_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-';
-}
-
-/// Shortest decimal form that round-trips to exactly `w`.
-std::string print_double(double w) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%g", w);
-  if (std::strtod(buf, nullptr) == w) return buf;
-  std::snprintf(buf, sizeof buf, "%.17g", w);
-  return buf;
-}
-
-/// One line being parsed; pos_ is the global offset for error reporting.
-class LineParser {
- public:
-  LineParser(const std::string& text, std::size_t begin, std::size_t end)
-      : text_(text), pos_(begin), end_(end) {}
-
-  void skip_ws() {
-    while (pos_ < end_ && (text_[pos_] == ' ' || text_[pos_] == '\t')) ++pos_;
-  }
-  bool at_end() {
-    skip_ws();
-    return pos_ >= end_;
-  }
-  std::size_t pos() const { return pos_; }
-  char peek() const { return pos_ < end_ ? text_[pos_] : '\0'; }
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < end_ && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  /// Word = name chars; returns empty if none.
-  std::string word() {
-    skip_ws();
-    if (pos_ >= end_ || !is_name_start(text_[pos_])) return {};
-    const std::size_t start = pos_;
-    while (pos_ < end_ && is_name_char(text_[pos_])) ++pos_;
-    return text_.substr(start, pos_ - start);
-  }
-
-  /// Non-negative integer fitting a TenantId; false on overflow/absence.
-  bool uint32(TenantId& out) {
-    skip_ws();
-    if (pos_ >= end_ || !std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      return false;
-    std::uint64_t v = 0;
-    while (pos_ < end_ &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      v = v * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-      if (v > 0xfffffffeull) return false;  // kInvalidTenant reserved
-      ++pos_;
-    }
-    out = static_cast<TenantId>(v);
-    return true;
-  }
-
-  bool number(double& out) {
-    skip_ws();
-    if (pos_ >= end_) return false;
-    const char* begin = text_.c_str() + pos_;
-    char* parse_end = nullptr;
-    const double v = std::strtod(begin, &parse_end);
-    if (parse_end == begin) return false;
-    const auto consumed = static_cast<std::size_t>(parse_end - begin);
-    if (pos_ + consumed > end_) return false;  // strtod ran past the line
-    pos_ += consumed;
-    out = v;
-    return true;
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_;
-  std::size_t end_;
-};
 
 GroupedPolicyParseResult fail(std::string error, std::size_t pos) {
   GroupedPolicyParseResult r;
@@ -139,7 +52,7 @@ std::string GroupedPolicy::to_string() const {
     }
     if (g.weight != 1.0) {
       out += " weight ";
-      out += print_double(g.weight);
+      out += qvisor::print_double(g.weight);
     }
     if (g.bounds) {
       out += " bounds ";
@@ -173,7 +86,7 @@ GroupedPolicyParseResult parse_grouped_policy(const std::string& text) {
         break;
       }
     }
-    LineParser lp(text, line_begin, content_end);
+    qvisor::PolicyLexer lp(text, line_begin, content_end);
     if (!lp.at_end()) {
       const std::size_t kw_pos = lp.pos();
       const std::string kw = lp.word();
@@ -230,8 +143,7 @@ GroupedPolicyParseResult parse_grouped_policy(const std::string& text) {
         std::string attr = lp.word();
         if (attr == "weight") {
           const std::size_t wpos = lp.pos();
-          if (!lp.number(decl.weight) || !(decl.weight > 0.0) ||
-              !(decl.weight < 1e18)) {
+          if (!lp.number(decl.weight) || !(decl.weight < 1e18)) {
             return fail("expected positive finite weight", wpos);
           }
           attr_pos = lp.pos();
@@ -314,7 +226,7 @@ GroupedPolicyParseResult parse_grouped_policy(const std::string& text) {
     }
   }
 
-  // The inter-group policy reuses the flat parser.
+  // The inter-group policy is the flat restriction of the one grammar.
   auto parsed = qvisor::parse_policy(policy_text);
   if (!parsed.ok()) {
     return fail("policy: " + parsed.error, policy_offset + parsed.error_pos);

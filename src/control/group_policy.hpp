@@ -1,4 +1,4 @@
-// The grouped operator-policy language (ISSUE 7): policy at million-
+// The grouped operator-policy language: policy at million-
 // tenant scale is written over GROUPS of tenant ids, not individual
 // tenants. A grouped policy is a set of group declarations followed by
 // one flat inter-group policy in the existing `>>` / `>` / `+` language
@@ -17,9 +17,18 @@
 // one group, which is what makes the O(1) index of group_plan.hpp
 // well-defined. `#` comments to end of line; blank lines free.
 //
+// The language adds only the declaration lines to the one policy
+// grammar. Declarations are read with the same lexer as policy text
+// (qvisor/policy_lexer.hpp): any std::isspace character is whitespace,
+// so CRLF files parse like LF ones, and W is the same positive finite
+// decimal a `*` weight is (below 1e18; no sign, hex, inf or nan). The
+// `policy` line is parse_policy() itself — the flat restriction of
+// the expression grammar.
+//
 // to_string() is canonical: parsing its output yields an equal policy
 // (the same round-trip property the flat language has, and the
-// invariant the fuzz harness drives).
+// invariant the fuzz harness drives). Weights print through the one
+// weight printer, qvisor::print_double().
 #pragma once
 
 #include <optional>

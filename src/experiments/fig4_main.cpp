@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
       "scheme", "qvisor-pfabric",
       "fifo | pifo | pifo-ideal | qvisor-edf | qvisor-share | "
       "qvisor-pfabric | all");
-  flags.define_double("load", 0.5, "pFabric tenant access-link load");
+  flags.define_double("load", 0.5, "pFabric tenant access-link load, in (0, 1]");
   flags.define_string("loads", "",
                       "comma-separated load list (grid axis); overrides "
                       "--load");
@@ -76,6 +76,12 @@ int main(int argc, char** argv) {
     }
   } else {
     sweep.loads = {flags.get_double("load")};
+  }
+  for (const double load : sweep.loads) {
+    if (!(load > 0.0 && load <= 1.0)) {
+      std::fprintf(stderr, "fig4: bad --load %g (must be in (0, 1])\n", load);
+      return 1;
+    }
   }
   if (!qv::experiments::seeds_from_flags(flags, "fig4", &sweep.seeds)) {
     return 1;

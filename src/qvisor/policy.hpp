@@ -7,6 +7,14 @@
 // Example from the paper: "T1 >> T2 > T3 + T4 >> T5" — T1 strictly above
 // everything; then T2 preferred over the sharing pair {T3, T4}; then T5
 // strictly below.
+//
+// This flat language is a restriction of the one policy grammar, not a
+// grammar of its own: parse_policy() is parse_policy_expr()
+// (policy_ast.hpp) followed by to_flat_policy(), so the two read every
+// token alike (policy_lexer.hpp has the whitespace, name and number
+// rules). An expression fits the restriction when its tree has the
+// three fixed strata above and every weight is 1; redundant parentheses
+// ("(a + b) > c") and "* 1" are therefore accepted and dropped.
 #pragma once
 
 #include <cstddef>
@@ -69,7 +77,9 @@ struct PolicyParseResult {
 
 /// Parse the `>>` / `>` / `+` language. Tenant names are
 /// [A-Za-z_][A-Za-z0-9_-]*; whitespace is free. Duplicate tenant names
-/// are rejected (a tenant cannot appear in two places).
+/// are rejected (a tenant cannot appear in two places), and so is any
+/// expression that is not flat: weights and nested groupings need
+/// parse_policy_expr() and a tree backend (hierarchy.hpp).
 PolicyParseResult parse_policy(const std::string& text);
 
 }  // namespace qv::qvisor

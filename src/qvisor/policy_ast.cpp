@@ -1,9 +1,9 @@
 #include "qvisor/policy_ast.hpp"
 
-#include <cctype>
-#include <cmath>
+#include <algorithm>
 #include <set>
-#include <sstream>
+
+#include "qvisor/policy_lexer.hpp"
 
 namespace qv::qvisor {
 
@@ -45,56 +45,46 @@ std::size_t PolicyExpr::depth() const {
 
 namespace {
 
-int precedence(PolicyExpr::Kind kind) {
-  switch (kind) {
-    case PolicyExpr::Kind::kIsolate:
-      return 0;
-    case PolicyExpr::Kind::kPrefer:
-      return 1;
-    case PolicyExpr::Kind::kShare:
-      return 2;
-    case PolicyExpr::Kind::kTenant:
-      return 3;
-  }
-  return 3;
-}
+// The operators, loosest first. A node's index here is its precedence
+// and its parse level, so the parser and the printer share one table.
+constexpr struct {
+  PolicyExpr::Kind kind;
+  const char* op;
+} kLevels[] = {{PolicyExpr::Kind::kIsolate, ">>"},
+               {PolicyExpr::Kind::kPrefer, ">"},
+               {PolicyExpr::Kind::kShare, "+"}};
+constexpr int kTermLevel = 3;
 
-const char* op_text(PolicyExpr::Kind kind) {
-  switch (kind) {
-    case PolicyExpr::Kind::kIsolate:
-      return " >> ";
-    case PolicyExpr::Kind::kPrefer:
-      return " > ";
-    case PolicyExpr::Kind::kShare:
-      return " + ";
-    case PolicyExpr::Kind::kTenant:
-      return "";
+int precedence(PolicyExpr::Kind kind) {
+  for (int level = 0; level < kTermLevel; ++level) {
+    if (kLevels[level].kind == kind) return level;
   }
-  return "";
+  return kTermLevel;
 }
 
 std::string weight_suffix(double weight) {
-  if (weight == 1.0) return "";
-  std::ostringstream out;
-  out << " * " << weight;
-  return out.str();
+  return weight == 1.0 ? "" : " * " + print_double(weight);
 }
 
 }  // namespace
 
 std::string PolicyExpr::to_string_prec(int parent_prec) const {
   if (is_leaf()) return tenant + weight_suffix(weight);
+  const int prec = precedence(kind);
   std::string body;
   for (std::size_t i = 0; i < children.size(); ++i) {
-    if (i > 0) body += op_text(kind);
-    body += children[i].to_string_prec(precedence(kind));
+    if (i > 0) {
+      body += ' ';
+      body += kLevels[prec].op;
+      body += ' ';
+    }
+    body += children[i].to_string_prec(prec);
   }
   // `<=`, not `<`: a same-kind nested child ("(A + B) + C") is a
   // distinct policy from the flat n-ary form ("A + B + C" splits the
   // link three ways; the nested form gives the pair one joint share),
   // so it must keep its parentheses to reparse to the same tree.
-  const bool needs_parens =
-      precedence(kind) <= parent_prec || weight != 1.0;
+  const bool needs_parens = prec <= parent_prec || weight != 1.0;
   if (needs_parens) return "(" + body + ")" + weight_suffix(weight);
   return body;
 }
@@ -110,201 +100,78 @@ bool operator==(const PolicyExpr& a, const PolicyExpr& b) {
 
 namespace {
 
-struct ExprLexer {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool eof() {
-    skip_ws();
-    return pos >= text.size();
-  }
-
-  char peek_char() {
-    skip_ws();
-    return pos < text.size() ? text[pos] : '\0';
-  }
-
-  /// Returns ">>", ">", "+", "*", "(", ")", an identifier, a number, or
-  /// "" on error.
-  std::string next() {
-    skip_ws();
-    if (pos >= text.size()) return "";
-    const char c = text[pos];
-    if (c == '>') {
-      if (pos + 1 < text.size() && text[pos + 1] == '>') {
-        pos += 2;
-        return ">>";
-      }
-      ++pos;
-      return ">";
-    }
-    if (c == '+' || c == '*' || c == '(' || c == ')') {
-      ++pos;
-      return std::string(1, c);
-    }
-    if (std::isdigit(static_cast<unsigned char>(c)) || c == '.') {
-      const std::size_t start = pos;
-      while (pos < text.size() &&
-             (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-              text[pos] == '.')) {
-        ++pos;
-      }
-      return text.substr(start, pos - start);
-    }
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      const std::size_t start = pos;
-      while (pos < text.size()) {
-        const char d = text[pos];
-        if (std::isalnum(static_cast<unsigned char>(d)) || d == '_' ||
-            d == '-') {
-          ++pos;
-        } else {
-          break;
-        }
-      }
-      return text.substr(start, pos - start);
-    }
-    return "";
-  }
-
-  std::string peek() {
-    const std::size_t saved = pos;
-    std::string tok = next();
-    pos = saved;
-    return tok;
-  }
-};
-
 class ExprParser {
  public:
-  explicit ExprParser(const std::string& text) : lex_{text} {}
+  explicit ExprParser(const std::string& text) : lex_(text) {}
 
   ExprParseResult parse() {
-    if (lex_.eof()) return fail("empty policy expression");
-    auto expr = parse_isolate();
-    if (!expr) return result_;
-    if (!lex_.eof()) return fail("unexpected trailing input");
-    ExprParseResult r;
-    r.expr = std::move(expr);
-    return r;
+    std::optional<PolicyExpr> expr;
+    if (lex_.at_end()) {
+      fail("empty policy expression", lex_.pos());
+    } else if ((expr = parse_level(0)) && !lex_.at_end()) {
+      expr = fail("expected '>>', '>' or '+' after operand", lex_.pos());
+    }
+    return {std::move(expr), std::move(error_), error_pos_};
   }
 
  private:
-  ExprParseResult fail(std::string message) {
-    result_.expr.reset();
-    result_.error = std::move(message);
-    result_.error_pos = lex_.pos;
-    failed_ = true;
-    return result_;
+  std::nullopt_t fail(std::string message, std::size_t pos) {
+    error_ = std::move(message);
+    error_pos_ = pos;
+    return std::nullopt;
   }
 
-  /// Collapse single-child inner nodes.
-  static PolicyExpr collapse(PolicyExpr::Kind kind,
-                             std::vector<PolicyExpr> children) {
+  /// One operator of kLevels joining the next-tighter level (terms
+  /// below "+"). A single operand is returned as-is.
+  std::optional<PolicyExpr> parse_level(int level) {
+    std::vector<PolicyExpr> children;
+    do {
+      auto child =
+          level + 1 == kTermLevel ? parse_term() : parse_level(level + 1);
+      if (!child) return std::nullopt;
+      children.push_back(std::move(*child));
+    } while (lex_.consume_op(kLevels[level].op));
     if (children.size() == 1) return std::move(children[0]);
-    return PolicyExpr::make(kind, std::move(children));
-  }
-
-  std::optional<PolicyExpr> parse_isolate() {
-    std::vector<PolicyExpr> children;
-    auto first = parse_prefer();
-    if (!first) return std::nullopt;
-    children.push_back(std::move(*first));
-    while (lex_.peek() == ">>") {
-      lex_.next();
-      auto next = parse_prefer();
-      if (!next) return std::nullopt;
-      children.push_back(std::move(*next));
-    }
-    return collapse(PolicyExpr::Kind::kIsolate, std::move(children));
-  }
-
-  std::optional<PolicyExpr> parse_prefer() {
-    std::vector<PolicyExpr> children;
-    auto first = parse_share();
-    if (!first) return std::nullopt;
-    children.push_back(std::move(*first));
-    while (lex_.peek() == ">") {
-      lex_.next();
-      auto next = parse_share();
-      if (!next) return std::nullopt;
-      children.push_back(std::move(*next));
-    }
-    return collapse(PolicyExpr::Kind::kPrefer, std::move(children));
-  }
-
-  std::optional<PolicyExpr> parse_share() {
-    std::vector<PolicyExpr> children;
-    auto first = parse_term();
-    if (!first) return std::nullopt;
-    children.push_back(std::move(*first));
-    while (lex_.peek() == "+") {
-      lex_.next();
-      auto next = parse_term();
-      if (!next) return std::nullopt;
-      children.push_back(std::move(*next));
-    }
-    return collapse(PolicyExpr::Kind::kShare, std::move(children));
+    return PolicyExpr::make(kLevels[level].kind, std::move(children));
   }
 
   std::optional<PolicyExpr> parse_term() {
     auto atom = parse_atom();
-    if (!atom) return std::nullopt;
-    if (lex_.peek() == "*") {
-      lex_.next();
-      const std::size_t num_pos = lex_.pos;
-      const std::string num = lex_.next();
-      char* end = nullptr;
-      const double w = std::strtod(num.c_str(), &end);
-      if (num.empty() || end != num.c_str() + num.size() || w <= 0 ||
-          !std::isfinite(w)) {
-        fail("expected positive weight after '*'");
-        result_.error_pos = num_pos;
-        return std::nullopt;
-      }
-      atom->weight = w;
+    if (!atom || !lex_.consume('*')) return atom;
+    if (!lex_.number(atom->weight)) {
+      return fail("expected positive weight after '*'", lex_.pos());
     }
     return atom;
   }
 
   std::optional<PolicyExpr> parse_atom() {
-    const std::size_t tok_pos = lex_.pos;
-    const std::string tok = lex_.next();
-    if (tok == "(") {
-      auto inner = parse_isolate();
-      if (!inner) return std::nullopt;
-      if (lex_.next() != ")") {
-        fail("expected ')'");
-        return std::nullopt;
+    if (lex_.consume('(')) {
+      // Each '(' costs a few stack frames; the cap keeps an outside
+      // "((((..." document from overflowing the stack.
+      if (++nesting_ > kMaxNesting) {
+        return fail("parentheses nested too deep", lex_.pos() - 1);
       }
+      auto inner = parse_level(0);
+      --nesting_;
+      if (inner && !lex_.consume(')')) return fail("expected ')'", lex_.pos());
       return inner;
     }
-    if (tok.empty() || tok == ">" || tok == ">>" || tok == "+" ||
-        tok == "*" || tok == ")" ||
-        std::isdigit(static_cast<unsigned char>(tok[0]))) {
-      fail("expected tenant name or '('");
-      result_.error_pos = tok_pos;
-      return std::nullopt;
+    std::string name = lex_.word();
+    if (name.empty()) return fail("expected tenant name or '('", lex_.pos());
+    if (!seen_.insert(name).second) {
+      return fail("tenant '" + name + "' appears more than once",
+                  lex_.pos() - name.size());
     }
-    if (!seen_.insert(tok).second) {
-      fail("tenant '" + tok + "' appears more than once");
-      result_.error_pos = tok_pos;
-      return std::nullopt;
-    }
-    return PolicyExpr::leaf(tok);
+    return PolicyExpr::leaf(std::move(name));
   }
 
-  ExprLexer lex_;
-  ExprParseResult result_;
+  static constexpr int kMaxNesting = 64;
+
+  PolicyLexer lex_;
+  int nesting_ = 0;
   std::set<std::string> seen_;
-  bool failed_ = false;
+  std::string error_;
+  std::size_t error_pos_ = 0;
 };
 
 }  // namespace

@@ -13,6 +13,17 @@
 // "(T1 >> T2) + T3 * 2" — the pair {T1 strictly above T2} shares the
 // link with T3, with T3 entitled to 2x the pair's bandwidth.
 //
+// This is the one policy grammar: parse_policy() (policy.hpp) is this
+// parser plus the flat restriction to_flat_policy(), and the grouped
+// language (control/group_policy.hpp) reads its `policy` line through
+// parse_policy(). Tokens come from the one lexer (policy_lexer.hpp):
+// any std::isspace character is whitespace, and a weight is a positive
+// finite decimal such as 2, 0.5, .5 or 1e-07 — no sign, hex, inf or
+// nan. Weights print through print_double(), the shortest text that
+// reads back as exactly the same double. Parentheses nest at most 64
+// deep; deeper text is rejected rather than parsed on an unbounded
+// stack.
+//
 // A flat expression round-trips with the §3.1 OperatorPolicy; a nested
 // one can be deployed EXACTLY on a PIFO-tree backend (hierarchy.hpp) or
 // APPROXIMATELY flattened onto a single rank space, with the
@@ -71,7 +82,8 @@ struct ExprParseResult {
 };
 
 /// Parse the extended grammar. Tenant names as in parse_policy();
-/// weights are positive decimals. Duplicate tenants are rejected.
+/// weights are positive finite decimals (policy_lexer.hpp). Duplicate
+/// tenants are rejected.
 ExprParseResult parse_policy_expr(const std::string& text);
 
 /// Convert to the flat §3.1 OperatorPolicy when the expression respects

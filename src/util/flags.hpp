@@ -1,15 +1,15 @@
 // Tiny command-line flag parser for example and bench binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name` /
-// `--no-name`. Unknown flags are an error so typos do not silently run
-// the default experiment.
+// `--no-name`. Unknown flags and positional arguments are errors so
+// typos do not silently run the default experiment: `--trace false`
+// fails on `false` instead of reading as `--trace` plus a stray word.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace qv {
 
@@ -41,9 +41,6 @@ class Flags {
   /// True if --help was requested; parse() already printed usage.
   bool help_requested() const { return help_requested_; }
 
-  /// Positional (non-flag) arguments, in order.
-  const std::vector<std::string>& positional() const { return positional_; }
-
  private:
   enum class Type { kInt, kDouble, kString, kBool };
 
@@ -61,7 +58,6 @@ class Flags {
   void print_usage(const char* prog) const;
 
   std::map<std::string, Def> defs_;
-  std::vector<std::string> positional_;
   bool help_requested_ = false;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace qv::workload {
 
@@ -17,6 +19,14 @@ std::vector<FlowArrival> generate_poisson_arrivals(const ArrivalConfig& cfg,
   assert(cfg.num_hosts >= 2);
   assert(cfg.end > cfg.start);
   const double lambda = arrival_rate_per_host(cfg, cdf);
+  if (!(lambda > 0.0) || !std::isfinite(lambda)) {
+    // A zero, negative, NaN or infinite rate makes every gap infinite,
+    // negative, NaN or zero, and the loop below would never reach
+    // cfg.end.
+    throw std::invalid_argument(
+        "generate_poisson_arrivals: per-host rate must be finite and "
+        "positive (load " + std::to_string(cfg.load) + ")");
+  }
   const double mean_gap_ns = 1e9 / lambda;
 
   std::vector<FlowArrival> arrivals;

@@ -34,7 +34,9 @@ struct ArrivalConfig {
 
 /// Pre-generate all arrivals for a run: Poisson per-host arrivals with
 /// sizes drawn from `cdf` and destinations uniform over other hosts.
-/// Deterministic given the seed. Sorted by arrival time.
+/// Deterministic given the seed. Sorted by arrival time. Throws
+/// std::invalid_argument unless the per-host rate is finite and
+/// positive; a load far above 1 is valid but costs memory in proportion.
 std::vector<FlowArrival> generate_poisson_arrivals(const ArrivalConfig& cfg,
                                                    const Cdf& cdf);
 

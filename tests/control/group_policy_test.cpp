@@ -92,6 +92,28 @@ TEST(GroupPolicy, CommentsAndBlankLinesAreFree) {
   EXPECT_EQ(gp.groups.size(), 2u);
 }
 
+TEST(GroupPolicy, CrlfLineEndingsParseLikeLf) {
+  const std::string lf =
+      "# tiers\n"
+      "group gold = 0..999 weight 2 bounds 0..1023\n"
+      "group rest = *\n"
+      "policy gold >> rest\n";
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  EXPECT_EQ(must_parse(crlf), must_parse(lf));
+}
+
+TEST(GroupPolicy, DeeplyNestedPolicyLineRejected) {
+  const std::string text =
+      "group a = 0..9\npolicy " + std::string(100'000, '(') + "a\n";
+  const GroupedPolicyParseResult r = parse_grouped_policy(text);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error.find("nested too deep"), std::string::npos) << r.error;
+}
+
 TEST(GroupPolicy, MaxValidTenantId) {
   // 0xfffffffe is the last usable id (0xffffffff == kInvalidTenant).
   const GroupedPolicy gp = must_parse(

@@ -1,14 +1,18 @@
-// Fuzz harness for the policy front-end (ISSUE 4 satellite): the one
-// place QVISOR consumes operator-typed text, so the one place malformed
-// input can reach the control plane. One input exercises the whole
-// pipeline:
+// Fuzz harness for the policy front-end: the one place QVISOR consumes
+// operator-typed text, so the one place malformed input can reach the
+// control plane. The policy language has one grammar (one lexer, one
+// expression parser) with two restrictions on top — flat policies and
+// grouped declarations — and one input exercises all of it:
 //
-//   parse_policy / parse_policy_expr      (must never crash / hang)
+//   parse_policy_expr                     must never crash / hang
 //   canonical round-trip                  to_string -> reparse -> equal
+//   flat restriction                      parse_policy(t) succeeds iff
+//                                         to_flat_policy(parse_policy_expr(t))
+//                                         does, with the same policy
 //   flat <-> expression round-trip        to_flat_policy / from_flat_policy
 //   synthesis (<= 64 tenants)             plan construction at fuzzed names
 //   static analysis of the plan           worst-case checks on the result
-//   parse_grouped_policy (ISSUE 7)        group syntax round-trip + the
+//   parse_grouped_policy                  group syntax round-trip + the
 //                                         compiled index/table invariants
 //
 // Two build modes:
@@ -16,7 +20,9 @@
 //    LLVMFuzzerTestOneInput for coverage-guided fuzzing.
 //  * default: a standalone driver that replays every corpus file given
 //    on the command line and then runs `--iters N` deterministic
-//    seeded mutations of them (the CI smoke; no clang required).
+//    seeded mutations of them (the CI smoke; no clang required). The
+//    mutation alphabet covers the number rule (digits, '.', 'e') and the
+//    whitespace rule ('\r', '\t', '\n') as well as the operators.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -71,7 +77,7 @@ std::vector<qv::qvisor::TenantSpec> specs_for(
   return specs;
 }
 
-/// Grouped policy language (ISSUE 7): parse, canonical round-trip, and
+/// Grouped policy language: parse, canonical round-trip, and
 /// — for small-enough inputs — the compiled artifact's invariants.
 void fuzz_grouped(const std::string& text) {
   namespace ctl = qv::control;
@@ -135,23 +141,13 @@ void fuzz_one(const std::uint8_t* data, std::size_t size) {
 
   fuzz_grouped(text);
 
-  // Flat §3.1 grammar: success implies an exact canonical round-trip.
-  const PolicyParseResult flat = parse_policy(text);
-  if (flat.ok()) {
-    const std::string canon = flat.policy->to_string();
-    const PolicyParseResult again = parse_policy(canon);
-    check(again.ok(), "canonical flat policy failed to reparse");
-    check(*again.policy == *flat.policy, "flat round-trip changed policy");
-  } else {
-    check(!flat.error.empty(), "flat parse failed without an error");
-    check(flat.error_pos <= text.size(), "flat error_pos out of range");
-  }
-
-  // Expression grammar: round-trip, then flat conversion round-trip.
+  // Expression grammar: round-trip, then the flat restriction.
   const ExprParseResult expr = parse_policy_expr(text);
+  const PolicyParseResult flat = parse_policy(text);
   if (!expr.ok()) {
     check(!expr.error.empty(), "expr parse failed without an error");
     check(expr.error_pos <= text.size(), "expr error_pos out of range");
+    check(!flat.ok(), "flat parse accepted what the expression parser rejects");
     return;
   }
   const std::string canon = expr.expr->to_string();
@@ -159,7 +155,18 @@ void fuzz_one(const std::uint8_t* data, std::size_t size) {
   check(again.ok(), "canonical expression failed to reparse");
   check(*again.expr == *expr.expr, "expression round-trip changed tree");
 
-  if (const auto as_flat = to_flat_policy(*expr.expr)) {
+  const auto restricted = to_flat_policy(*expr.expr);
+  check(flat.ok() == restricted.has_value(),
+        "parse_policy disagrees with to_flat_policy(parse_policy_expr)");
+  if (!flat.ok()) {
+    check(!flat.error.empty(), "flat parse failed without an error");
+    check(flat.error_pos <= text.size(), "flat error_pos out of range");
+  }
+  if (const auto& as_flat = restricted) {
+    check(*flat.policy == *as_flat, "parse_policy changed the flat policy");
+    const PolicyParseResult reflat_text = parse_policy(as_flat->to_string());
+    check(reflat_text.ok() && *reflat_text.policy == *as_flat,
+          "flat canonical text failed to reparse to the same policy");
     const PolicyExpr lifted = from_flat_policy(*as_flat);
     const auto reflat = to_flat_policy(lifted);
     check(reflat.has_value(), "lifted flat policy stopped being flat");
@@ -205,7 +212,8 @@ namespace {
 std::string mutate(const std::string& seed, qv::Rng& rng) {
   std::string out = seed;
   const int edits = 1 + static_cast<int>(rng.next_below(4));
-  static const char kAlphabet[] = ">+*()_- \tT123abcXYZ\n\0#=.,gw";
+  static const char kAlphabet[] =
+      ">+*()_- \t\r\nT0123456789abceXYZ\0#=.,gw";
   for (int e = 0; e < edits; ++e) {
     const std::uint64_t op = rng.next_below(3);
     const char c = kAlphabet[rng.next_below(sizeof(kAlphabet))];

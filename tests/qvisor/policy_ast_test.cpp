@@ -73,6 +73,37 @@ TEST(PolicyExprParser, Errors) {
   EXPECT_FALSE(parse_policy_expr("(a) (b)").ok());   // trailing input
 }
 
+TEST(PolicyExprParser, DeepNestingRejectedWithoutRecursingOnIt) {
+  const std::string ok = std::string(64, '(') + "a" + std::string(64, ')');
+  EXPECT_TRUE(parse_policy_expr(ok).ok());
+  EXPECT_TRUE(parse_policy(ok).ok());
+
+  const std::string deep(100'000, '(');
+  for (const std::string& text : {deep, deep + "a", "a >> " + deep}) {
+    const auto expr = parse_policy_expr(text);
+    ASSERT_FALSE(expr.ok());
+    EXPECT_EQ(expr.error, "parentheses nested too deep");
+    const auto flat = parse_policy(text);
+    ASSERT_FALSE(flat.ok());
+    EXPECT_EQ(flat.error, "parentheses nested too deep");
+  }
+}
+
+TEST(PolicyExprParser, MissingOperatorIsNamed) {
+  const auto r = parse_policy("T1 T2");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error, "expected '>>', '>' or '+' after operand");
+  EXPECT_EQ(r.error_pos, 3u);
+}
+
+TEST(PolicyExprParser, NumberIsNotATenantName) {
+  // Tenant names follow the one name rule: ".", ".5" and "..4" are not
+  // names, wherever they stand.
+  EXPECT_FALSE(parse_policy_expr(".").ok());
+  EXPECT_FALSE(parse_policy_expr("a > .5").ok());
+  EXPECT_FALSE(parse_policy_expr("a * 0.5 + b > ..4").ok());
+}
+
 TEST(PolicyExprParser, DuplicateAcrossNestingRejected) {
   EXPECT_FALSE(parse_policy_expr("(a >> b) + (c > a)").ok());
 }
@@ -98,7 +129,11 @@ INSTANTIATE_TEST_SUITE_P(
                       // ONE unit against c, so the parens must survive
                       // printing (fuzzer-found).
                       "(a + b) + c * 2 > d", "(a > b) > c",
-                      "(a >> b) >> c"));
+                      "(a >> b) >> c",
+                      // Weights print as the shortest text that reads
+                      // back exactly, exponent forms included.
+                      "a * 1000000 + b", "a * 0.1234567 + b",
+                      "a * 1e-07 + b"));
 
 TEST(PolicyExpr, SameKindNestingKeepsParens) {
   auto r = parse_policy_expr("(a + b) + c * 2 > d");

@@ -97,14 +97,17 @@ TEST(Flags, MissingValueFails) {
   EXPECT_FALSE(f.parse(a.argc(), a.argv()));
 }
 
-TEST(Flags, PositionalArgsCollected) {
+TEST(Flags, PositionalArgsRejected) {
   Flags f;
   f.define_int("n", 1, "");
-  Argv a({"prog", "one", "--n=2", "two"});
-  ASSERT_TRUE(f.parse(a.argc(), a.argv()));
-  ASSERT_EQ(f.positional().size(), 2u);
-  EXPECT_EQ(f.positional()[0], "one");
-  EXPECT_EQ(f.positional()[1], "two");
+  Argv a({"prog", "--n=2", "one"});
+  EXPECT_FALSE(f.parse(a.argc(), a.argv()));
+  // A bool takes no separate value: "--trace false" is "--trace" plus
+  // the stray word "false", which must fail rather than run traced.
+  Flags g;
+  g.define_bool("trace", true, "");
+  Argv b({"prog", "--trace", "false"});
+  EXPECT_FALSE(g.parse(b.argc(), b.argv()));
 }
 
 TEST(Flags, HelpRequested) {

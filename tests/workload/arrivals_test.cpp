@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 namespace qv::workload {
 namespace {
@@ -81,6 +83,18 @@ TEST(Arrivals, RateMatchesLoad) {
   const double offered_load =
       bytes * 8.0 / (2.0 * 8 /*hosts*/ * 1e9 /*bps*/);
   EXPECT_NEAR(offered_load, 0.6, 0.1);
+}
+
+TEST(Arrivals, RejectsRateThatIsNotFiniteAndPositive) {
+  // Each of these used to loop forever on infinite, negative or NaN
+  // gaps; now they fail before generating anything.
+  const Cdf cdf = data_mining_cdf();
+  for (const double load : {0.0, -1.0, std::nan(""), HUGE_VAL}) {
+    EXPECT_THROW(
+        generate_poisson_arrivals(config(load, 8, milliseconds(50)), cdf),
+        std::invalid_argument)
+        << "load " << load;
+  }
 }
 
 TEST(Arrivals, HigherLoadMoreFlows) {
