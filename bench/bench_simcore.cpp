@@ -1,7 +1,7 @@
 // End-to-end simulation-core bench: run one fig4 (scheme, load) cell on
 // a chosen engine — the overhauled core (timing wheel + coalesced link
 // drains) or the per-event reference — and report events/sec plus the
-// wheel/coalescing diagnostics as one JSON object on stdout.
+// wheel diagnostics as one JSON object on stdout.
 //
 // Not a google-benchmark binary: the measured unit is a whole
 // experiment run, so the driver (run_benchmarks.py --simcore) invokes
@@ -89,7 +89,6 @@ int main(int argc, char** argv) {
       "\"wheel\":{\"scheduled_wheel\":%llu,\"scheduled_heap\":%llu,"
       "\"migrated_from_heap\":%llu,\"migrated_wheel_levels\":%llu,"
       "\"rotations\":%llu,\"peak_live\":%llu},"
-      "\"events_replayed\":%llu,"
       "\"result\":{\"mean_small_ms\":%.17g,\"p99_small_ms\":%.17g,"
       "\"small_flows\":%zu,\"small_incomplete\":%zu,"
       "\"mean_small_lb_ms\":%.17g,\"mean_large_ms\":%.17g,"
@@ -107,10 +106,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(r.wheel.migrated_wheel_levels),
       static_cast<unsigned long long>(r.wheel.rotations),
       static_cast<unsigned long long>(r.wheel.peak_live),
-      static_cast<unsigned long long>(r.events_replayed), r.mean_small_ms,
-      r.p99_small_ms, r.small_flows, r.small_incomplete, r.mean_small_lb_ms,
-      r.mean_large_ms, r.large_flows, r.large_incomplete, r.mean_large_lb_ms,
-      r.mean_all_ms, r.all_flows, r.edf_deadline_met,
+      r.mean_small_ms, r.p99_small_ms, r.small_flows, r.small_incomplete,
+      r.mean_small_lb_ms, r.mean_large_ms, r.large_flows, r.large_incomplete,
+      r.mean_large_lb_ms, r.mean_all_ms, r.all_flows, r.edf_deadline_met,
       static_cast<unsigned long long>(r.drops),
       static_cast<unsigned long long>(r.events));
   return 0;

@@ -763,7 +763,6 @@ def run_simcore_mode(args):
         ref_eps, over_eps = [], []
         wheel = None
         events = None
-        replayed = None
         for _ in range(pairs):
             ref = run_simcore_cell(binary, scheme, load, per_event=True)
             over = run_simcore_cell(binary, scheme, load, per_event=False)
@@ -776,7 +775,6 @@ def run_simcore_mode(args):
             ratios.append(over["events_per_sec"] / ref["events_per_sec"])
             wheel = over["wheel"]
             events = over["events"]
-            replayed = over["events_replayed"]
         ratios.sort()
         e2e[f"{scheme}:{load}"] = {
             "scheme": scheme,
@@ -788,11 +786,9 @@ def run_simcore_mode(args):
             "median_paired_ratio": round(ratios[len(ratios) // 2], 3),
             "fingerprints_identical": True,
             # Diagnostics from the overhauled run: where events lived
-            # (wheel vs overflow heap), how many migrated down on
-            # rotation, and how many link sub-steps the coalesced drain
-            # replayed inline instead of dispatching.
+            # (wheel vs overflow heap) and how many migrated down on
+            # rotation.
             "wheel": wheel,
-            "events_replayed": replayed,
         }
 
     # Microbench rows: wheel vs heap-only, paired within each run.
@@ -896,8 +892,7 @@ def run_simcore_mode(args):
         print(f"  e2e {key}: ref "
               f"{c['reference_events_per_sec'] / 1e6:.2f}M ev/s -> "
               f"overhauled {c['overhauled_events_per_sec'] / 1e6:.2f}M "
-              f"ev/s (median paired {c['median_paired_ratio']}x, "
-              f"replayed {c['events_replayed']})")
+              f"ev/s (median paired {c['median_paired_ratio']}x)")
     for metric, c in micro.items():
         print(f"  micro {metric}: heap-only "
               f"{c['heap_only_items_per_sec'] / 1e6:.1f}M -> wheel "

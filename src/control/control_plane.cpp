@@ -279,19 +279,15 @@ void ControlPlane::export_metrics(obs::Registry& reg,
   reg.counter_view(prefix + ".incremental_deploys", &incremental_deploys_);
   reg.counter_view(prefix + ".noop_deploys", &noop_deploys_);
   reg.counter_view(prefix + ".failed_deploys", &failed_deploys_);
-  for (const auto& [hist, label] :
-       {std::pair<const obs::Log2Histogram*, const char*>{
-            &full_latency_, ".resynthesis.full"},
-        std::pair<const obs::Log2Histogram*, const char*>{
-            &incremental_latency_, ".resynthesis.incremental"}}) {
-    const std::string base = prefix + label;
-    const obs::Log2Histogram* h = hist;
-    reg.gauge(base + ".count",
-              [h] { return static_cast<double>(h->count()); });
-    reg.gauge(base + ".p50_ns", [h] { return h->quantile(0.5); });
-    reg.gauge(base + ".p99_ns", [h] { return h->quantile(0.99); });
-    reg.gauge(base + ".mean_ns", [h] { return h->mean(); });
-  }
+  // Only the deploy counts: the latency quantiles are wall-clock, and
+  // exporting them would make metrics.json differ between identical
+  // runs. They stay readable through full_latency()/incremental_latency().
+  reg.gauge(prefix + ".resynthesis.full.count", [this] {
+    return static_cast<double>(full_latency_.count());
+  });
+  reg.gauge(prefix + ".resynthesis.incremental.count", [this] {
+    return static_cast<double>(incremental_latency_.count());
+  });
   reg.gauge(prefix + ".quarantined",
             [this] { return static_cast<double>(quarantined_.size()); });
   reg.gauge(prefix + ".plan.groups", [this] {

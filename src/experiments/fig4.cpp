@@ -356,7 +356,6 @@ Fig4Result run_fig4_impl(const Fig4Config& config,
   result.drops = net.total_drops();
   result.events = sim.events_processed();
   result.wheel = sim.wheel_stats();
-  result.events_replayed = sim.events_replayed();
 
   if (result.drops > 0) {
     QV_WARN << "fig4 " << fig4_scheme_name(config.scheme) << " load "

@@ -124,8 +124,7 @@ struct Fig4Result {
   /// metrics.json: the split differs between drain modes while the
   /// artifacts must stay byte-identical).
   netsim::EventQueue::WheelStats wheel;
-  /// Link sub-steps replayed inline by the coalesced drain (same
-  /// caveat: diagnostics only, 0 on the per-event reference).
+  /// Always 0: kept only because the frozen benchmark harness reads it.
   std::uint64_t events_replayed = 0;
 };
 

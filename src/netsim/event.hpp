@@ -169,11 +169,12 @@ class EventQueue {
   EventId schedule(TimeNs at, EventFn fn);
 
   /// Reserve the next schedule sequence number without scheduling
-  /// anything. The coalesced link drain burns one sequence number per
-  /// replayed sub-step at exactly the moment the per-event path would
-  /// have scheduled it, so tie-break ORDER against every third-party
-  /// event is preserved even when the sub-step itself never becomes a
-  /// queue entry.
+  /// anything. The coalesced link drain draws one for each sub-step at
+  /// exactly the moment the per-event path would have scheduled that
+  /// step's event, and later arms its drain timer with it, so
+  /// tie-break ORDER against every third-party event is the
+  /// reference's even though the sub-step is queued only once it
+  /// becomes the link's earliest.
   std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Schedule with a previously reserved sequence number (see
@@ -198,10 +199,12 @@ class EventQueue {
   // A timer is a slot with a plain {function pointer, context} callback
   // that survives firing: re-arming skips the slot acquire / EventFn
   // relocate / generation churn a fresh schedule() pays. The coalesced
-  // link drain re-points one event per processed sub-step, so this is
-  // its hot path. POD callbacks are also what makes firing safe when
-  // the handler grows the slab: the callback is copied out before the
-  // call, never invoked from (possibly reallocated) slot storage.
+  // link drain's timer fires once per sub-step, armed with the
+  // sequence number the reference would have drawn for that step's
+  // event, so this is its hot path. POD callbacks are also what makes
+  // firing safe when the handler grows the slab: the callback is
+  // copied out before the call, never invoked from (possibly
+  // reallocated) slot storage.
 
   /// Allocate a timer slot. The slot is not armed and not counted in
   /// size(); destroy_timer() frees it.

@@ -160,16 +160,14 @@ void Link::start_per_event() {
 // Correctness frame: every sub-step below has a reference twin — the
 // event the per-event path would have scheduled, at the same timestamp
 // and with the SAME schedule sequence number (reserved at the exact
-// moment the reference would have called schedule). A sub-step is
-// executed either as a real queue event (materialized with its
-// reserved sequence number, so the queue's (at, seq) order settles
-// every tie exactly as the reference) or replayed inline — only while
-// it falls STRICTLY before every queued event and within the run
-// deadline, with the clock advanced to its timestamp first. Either
-// way the handler bodies below run at the same logical time, in the
-// same global order, reading the same link state (epochs, loss
-// probabilities, RNG cursor) as the reference — so flows.csv and
-// metrics.json come out byte-identical.
+// moment the reference would have called schedule). Only the (at, seq)
+// front of steps_ is on the event queue, through the link's persistent
+// drain timer; each fire runs exactly that one sub-step and re-arms the
+// timer for the next. The queue's (at, seq) order therefore settles
+// every tie exactly as the reference, and the handler bodies below run
+// at the same logical time, in the same global order, reading the same
+// link state (epochs, loss probabilities, RNG cursor) — so flows.csv
+// and metrics.json come out byte-identical.
 
 void Link::push_step(SubStep&& s) {
   // New sub-steps are almost always the latest; insertion-sort from
@@ -184,126 +182,33 @@ void Link::push_step(SubStep&& s) {
   steps_.insert(it, std::move(s));
 }
 
-void Link::begin_serialization(Packet&& pkt, TimeNs now) {
-  busy_ = true;
-  busy_since_ = now;
-  const TimeNs ser = serialization_delay(pkt.size_bytes, rate_);
-  if (obs::Tracer* tr = sched_tracer()) {
-    tr->complete(obs::TraceCategory::kSched, "tx", now, ser, trace_tid_,
-                 "rank", pkt.rank);
-  }
-  SubStep s;
-  s.pkt = std::move(pkt);
-  s.at = now + ser;
-  s.seq = sim_.reserve_seq();  // the reference's sim_.after(ser, ...)
-  s.epoch = down_epoch_;
-  s.ser = ser;
-  s.kind = SubStep::kSerDone;
-  push_step(std::move(s));
-  if (!in_drain_) refresh_drain_event();
-}
-
 void Link::start_coalesced() {
   if (!up_) {
     busy_ = false;
     return;
   }
   const TimeNs now = sim_.now();
-  // Batch-popped packets continue the chain without touching the
-  // queue; their pop-time accounting already happened in drain_batch.
-  if (popped_head_ < popped_.size()) {
-    Packet pkt = std::move(popped_[popped_head_]);
-    if (++popped_head_ == popped_.size()) {
-      popped_.clear();
-      popped_head_ = 0;
-    }
-    begin_serialization(std::move(pkt), now);
-    return;
-  }
   account_queue(now);
-  if (in_drain_ && queue_->size() > 1) {
-    // Whole-backlog batch pop, exact when the total serialization time
-    // fits strictly inside the current inline window: every reference
-    // pop moment (each packet's wire-start) then precedes the next
-    // queued event, and no enqueue can land in between — any enqueue
-    // requires some other event to run first, and all of those sit at
-    // or beyond the window's end. Only legal from inside a drain
-    // dispatch: a transmit()-time caller may keep enqueueing after we
-    // return, and those packets must compete for pop order.
-    const std::int64_t backlog = queue_->buffered_bytes();
-    const TimeNs total_ser = serialization_delay(backlog, rate_);
-    if (now + total_ser < sim_.next_event_time() &&
-        now + total_ser <= sim_.run_deadline()) {
-      drain_batch(now, backlog);
-      return;
-    }
-  }
   auto next = queue_->dequeue(now);
   if (!next) {
     busy_ = false;
     return;
   }
-  begin_serialization(std::move(*next), now);
-}
-
-void Link::drain_batch(TimeNs now, std::int64_t backlog) {
-  const std::size_t n = queue_->size();
-  popped_.resize(n);
-  const std::size_t got =
-      queue_->dequeue_batch(std::span<Packet>(popped_.data(), n), now);
-  popped_.resize(got);
-  popped_head_ = 0;
-  if (got == 0) {
-    busy_ = false;
-    return;
+  busy_ = true;
+  busy_since_ = now;
+  const TimeNs ser = serialization_delay(next->size_bytes, rate_);
+  if (obs::Tracer* tr = sched_tracer()) {
+    tr->complete(obs::TraceCategory::kSched, "tx", now, ser, trace_tid_,
+                 "rank", next->rank);
   }
-  // Reference-equivalent backlog accounting: pop j happens at packet
-  // j-1's serialization finish, with the not-yet-popped suffix still
-  // buffered. The queue is already empty, so integrate arithmetically.
-  std::int64_t remaining = backlog - popped_[0].size_bytes;
-  TimeNs t = now;
-  for (std::size_t j = 1; j < got; ++j) {
-    t += serialization_delay(popped_[j - 1].size_bytes, rate_);
-    backlog_integral_ += static_cast<double>(remaining) *
-                         static_cast<double>(t - backlog_updated_at_);
-    backlog_updated_at_ = t;
-    remaining -= popped_[j].size_bytes;
-  }
-  Packet first = std::move(popped_[0]);
-  if (got == 1) {
-    popped_.clear();
-  } else {
-    popped_head_ = 1;
-  }
-  begin_serialization(std::move(first), now);
-}
-
-void Link::process_substeps() {
-  in_drain_ = true;
-  bool first = true;
-  while (!steps_.empty()) {
-    if (!first) {
-      const SubStep& front = steps_.front();
-      // Inline only while strictly ahead of every queued event (ties
-      // yield: the materialized event's reserved sequence number lets
-      // the queue settle the order exactly) and within the deadline.
-      if (front.at > sim_.run_deadline()) break;
-      if (front.at >= sim_.next_event_time()) break;
-      sim_.advance_inline(front.at);
-      sim_.note_replayed();
-    } else {
-      assert(steps_.front().at == sim_.now());
-      first = false;
-    }
-    SubStep s = std::move(steps_.front());
-    steps_.erase(steps_.begin());
-    if (s.kind == SubStep::kSerDone) {
-      process_ser_done(s);
-    } else {
-      process_arrival(s);
-    }
-  }
-  in_drain_ = false;
+  SubStep s;
+  s.pkt = std::move(*next);
+  s.at = now + ser;
+  s.seq = sim_.reserve_seq();  // the reference's sim_.after(ser, ...)
+  s.epoch = down_epoch_;
+  s.ser = ser;
+  s.kind = SubStep::kSerDone;
+  push_step(std::move(s));
   refresh_drain_event();
 }
 
@@ -357,7 +262,15 @@ void Link::process_arrival(SubStep& s) {
 
 void Link::on_drain() {
   drain_armed_ = false;
-  process_substeps();
+  assert(!steps_.empty() && steps_.front().at == sim_.now());
+  SubStep s = std::move(steps_.front());
+  steps_.erase(steps_.begin());
+  if (s.kind == SubStep::kSerDone) {
+    process_ser_done(s);
+  } else {
+    process_arrival(s);
+  }
+  refresh_drain_event();
 }
 
 void Link::refresh_drain_event() {

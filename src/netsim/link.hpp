@@ -13,19 +13,14 @@
 //     serialization-finish continuation and a propagation (arrival)
 //     continuation — exactly the pre-overhaul implementation;
 //   * coalesced (default): the link keeps its pending sub-steps
-//     (serialization finishes, arrivals) in a small time-ordered
-//     vector, materializes ONE queue event for the earliest of them,
-//     and when that event fires replays as many subsequent sub-steps
-//     inline as fall strictly before every other queued event (and
-//     within the run deadline), advancing the clock to each sub-step's
-//     timestamp. Per-packet finish/arrival times are computed
-//     arithmetically; each replayed sub-step burns the schedule
-//     sequence number the reference would have used, so tie-break
-//     order against third-party events — and therefore every artifact
-//     — is byte-identical. When the whole backlog provably serializes
-//     before the next queued event, it is popped in one dequeue_batch
-//     call. See DESIGN.md (simulation core) for the exactness
-//     argument.
+//     (serialization finishes, arrivals) in a small (time, sequence)-
+//     ordered vector and puts only the front one on the event queue,
+//     through one persistent per-link timer. Each fire runs exactly
+//     that sub-step and re-arms the timer for the next. Every sub-step
+//     carries the schedule sequence number the reference would have
+//     drawn for its twin event, so tie-break order against third-party
+//     events — and therefore every artifact — is byte-identical. See
+//     DESIGN.md (simulation core) for the contract.
 #pragma once
 
 #include <memory>
@@ -258,11 +253,9 @@ class Link {
 
   // --- coalesced drain ------------------------------------------------
   //
-  // Pending sub-steps for this link, ordered by (time, sequence). At
-  // most one of them — the front — is materialized on the event queue,
-  // via a persistent per-link timer (drain_timer_); firing it replays
-  // the rest inline while they stay strictly ahead of every other
-  // queued event.
+  // Pending sub-steps for this link, ordered by (time, sequence). Only
+  // the front is on the event queue, via a persistent per-link timer
+  // (drain_timer_); each fire runs that one sub-step and re-arms.
   struct SubStep {
     enum Kind : std::uint8_t { kSerDone, kArrive };
     Packet pkt;
@@ -273,23 +266,17 @@ class Link {
     Kind kind = kSerDone;
   };
 
-  /// Begin serializing the chain's next packet at `now` (already
-  /// dequeued / pre-popped): stages its kSerDone sub-step.
-  void begin_serialization(Packet&& pkt, TimeNs now);
-  /// Dequeue and serialize the next buffered packet, if any.
+  /// Dequeue the next buffered packet, if any, and stage its kSerDone
+  /// sub-step.
   void start_coalesced();
-  /// Pop the whole backlog in one dequeue_batch when every pop moment
-  /// provably precedes the next queued event (see link.cpp).
-  void drain_batch(TimeNs now, std::int64_t backlog);
-  /// Replay pending sub-steps inline from a fired drain event.
-  void process_substeps();
   void process_ser_done(SubStep& s);
   void process_arrival(SubStep& s);
   /// (Re)arm the drain timer for the earliest pending sub-step; disarm
   /// it when none remain.
   void refresh_drain_event();
   void push_step(SubStep&& s);
-  /// Drain-timer fire path (EventQueue persistent-timer callback).
+  /// Drain-timer fire path (EventQueue persistent-timer callback): run
+  /// the front sub-step, then re-arm.
   void on_drain();
 
   Simulator& sim_;
@@ -309,13 +296,10 @@ class Link {
 
   // Coalesced-drain state (empty in per-event mode).
   std::vector<SubStep> steps_;  ///< pending sub-steps, (at, seq)-sorted
-  std::vector<Packet> popped_;  ///< batch-popped packets awaiting the wire
-  std::size_t popped_head_ = 0;
   EventId drain_timer_ = 0;  ///< persistent timer slot (0 = not allocated)
   bool drain_armed_ = false; ///< timer armed at (drain_at_, drain_seq_)
   TimeNs drain_at_ = 0;
   std::uint64_t drain_seq_ = 0;
-  bool in_drain_ = false;  ///< inside process_substeps()
 
   // Fault state. `down_epoch_` is bumped every time the wire goes down;
   // the serialization/propagation continuations capture the epoch they

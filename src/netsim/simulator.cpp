@@ -15,13 +15,7 @@ EventId Simulator::after(TimeNs delay, EventFn fn) {
   return queue_.schedule(now_ + delay, std::move(fn));
 }
 
-EventId Simulator::at_seq(TimeNs when, std::uint64_t seq, EventFn fn) {
-  assert(when >= now_);
-  return queue_.schedule_at_seq(when, seq, std::move(fn));
-}
-
 void Simulator::run_until(TimeNs deadline) {
-  run_deadline_ = deadline;
   if (tracer_ != nullptr && tracer_->enabled(obs::TraceCategory::kSim)) {
     run_until_traced(deadline);
     return;
@@ -57,7 +51,6 @@ void Simulator::run_until_traced(TimeNs deadline) {
 }
 
 void Simulator::run() {
-  run_deadline_ = kTimeMax;
   while (!queue_.empty()) {
     now_ = queue_.next_time();
     queue_.run_next();

@@ -36,7 +36,7 @@ class Simulator {
     simcore_ = mode;
   }
   SimCore simcore() const { return simcore_; }
-  /// True when links should use the burst-coalesced drain path.
+  /// True when links should use the coalesced drain path.
   bool coalesced_drains() const {
     return simcore_ == SimCore::kOverhauled;
   }
@@ -64,23 +64,12 @@ class Simulator {
 
   // --- coalesced-drain support (used by Link) -------------------------
   //
-  // The coalesced drain replays link sub-steps inline, in exact
-  // (time, sequence) order, while the next sub-step falls strictly
-  // before every queued event and within the active run deadline.
-  // These hooks expose just enough of the run loop to make that replay
-  // observationally identical to dispatching real events.
-
-  /// Time of the earliest queued event; kTimeMax when idle.
-  TimeNs next_event_time() const { return queue_.next_time(); }
-
-  /// Deadline of the active run_until (kTimeMax inside run()).
-  TimeNs run_deadline() const { return run_deadline_; }
+  // The coalesced drain keeps one persistent timer per link, armed for
+  // its earliest pending sub-step with the sequence number the
+  // per-event reference would have drawn for that step's event.
 
   /// Burn the next schedule sequence number (see EventQueue).
   std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
-
-  /// Schedule with a reserved sequence number. `when` >= now().
-  EventId at_seq(TimeNs when, std::uint64_t seq, EventFn fn);
 
   /// Persistent timer plumbing (see EventQueue): the link drain keeps
   /// one timer per link and re-arms it instead of re-scheduling.
@@ -94,24 +83,8 @@ class Simulator {
   void disarm_timer(EventId id) { queue_.disarm_timer(id); }
   void destroy_timer(EventId id) { queue_.destroy_timer(id); }
 
-  /// Advance the clock to an inline-replayed sub-step's timestamp.
-  /// Monotone: `t` >= now().
-  void advance_inline(TimeNs t) {
-    assert(t >= now_);
-    now_ = t;
-  }
-
-  /// Count one inline-replayed sub-step so events_processed() matches
-  /// the per-event reference exactly (it is exported into metrics).
-  void note_replayed() {
-    ++processed_;
-    ++replayed_;
-  }
-
-  /// Sub-steps replayed inline instead of dispatched through the
-  /// queue — the coalescing-effectiveness counter (benchmark notes;
-  /// NOT exported into metrics.json, it differs between engines).
-  std::uint64_t events_replayed() const { return replayed_; }
+  /// Always 0: kept only because the frozen benchmark harness reads it.
+  std::uint64_t events_replayed() const { return 0; }
 
   /// Timing-wheel diagnostics (occupancy split, overflow migrations),
   /// exported into benchmark artifacts.
@@ -133,9 +106,7 @@ class Simulator {
 
   EventQueue queue_;
   TimeNs now_ = 0;
-  TimeNs run_deadline_ = kTimeMax;
   std::uint64_t processed_ = 0;
-  std::uint64_t replayed_ = 0;
   SimCore simcore_ = SimCore::kOverhauled;
   obs::Tracer* tracer_ = nullptr;
 };

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "experiments/rollout_chaos.hpp"
@@ -87,6 +89,36 @@ TEST(RolloutChaosHarness, SweepWritesArtifactsAndSummary) {
   // Grid order: kinds outer, seeds inner.
   EXPECT_NE(cells[0].stem.find("clean"), std::string::npos);
   EXPECT_NE(cells[1].stem.find("canary-slo"), std::string::npos);
+  std::filesystem::remove_all(root);
+}
+
+TEST(RolloutChaosHarness, MetricsAreByteIdenticalAcrossRuns) {
+  // metrics.json must hold only deterministic values: the same cell run
+  // twice writes the same bytes (no wall-clock latency gauges).
+  const std::string root =
+      (std::filesystem::temp_directory_path() / "qv_rollout_chaos_repeat")
+          .string();
+  std::filesystem::remove_all(root);
+  std::filesystem::create_directories(root);
+
+  RolloutChaosSweepConfig sweep;
+  sweep.base.switches = 12;
+  sweep.base.canary = 2;
+  sweep.base.wave_size = 4;
+  sweep.kinds = {RolloutFaultKind::kClean};
+  sweep.seeds = {3};
+  sweep.out_dir = root;
+  sweep.jobs = 1;
+  const auto read_metrics = [&] {
+    const auto cells = run_rollout_chaos_sweep(sweep);
+    EXPECT_EQ(cells.size(), 1u);
+    std::ifstream in(cells.at(0).stem + "_metrics.json", std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string first = read_metrics();
+  const std::string second = read_metrics();
+  EXPECT_FALSE(first.empty());
+  EXPECT_EQ(first, second);
   std::filesystem::remove_all(root);
 }
 

@@ -1,11 +1,12 @@
 // Differential determinism: the overhauled simulation core (timing
-// wheel + burst-coalesced link drain) must be observationally
+// wheel + coalesced link drain) must be observationally
 // IDENTICAL to the per-event reference engine — same delivery
 // timestamps, same order, same drop decisions, same event count — for
 // every queueing discipline the simulator ships. Each test drives one
 // discipline with the same adversarial traffic script (bursts, idle
-// gaps, same-instant arrivals, buffer overflow) under both
-// Simulator::SimCore modes and compares the full delivery record.
+// gaps, same-instant arrivals, buffer overflow, random loss and
+// corruption, link flaps) under both Simulator::SimCore modes and
+// compares the full delivery record.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -40,6 +41,11 @@ struct RunRecord {
   std::uint64_t dropped = 0;
   std::uint64_t dropped_bytes = 0;
   std::int64_t bytes_transmitted = 0;
+  double mean_queue_bytes = 0;
+  double utilization = 0;
+  LinkFaultCounters faults;
+  std::size_t backlog_at_down = 0;  ///< buffered when the long flap began
+  std::uint64_t scheduled_wheel = 0;
 };
 
 // Deterministic splitmix-style generator so both engine runs see the
@@ -71,6 +77,25 @@ Packet make_packet(Rng& rng) {
 // drain completely (exercising the work-conserving restart in both
 // engines). A tight buffer forces overflow drops mid-script so the
 // drop policy of every discipline is part of the comparison.
+//
+// Fault paths ride along: a per-packet loss and corruption probability
+// for the random phase, and two flaps. Each flap goes down with one
+// packet mid-serialization and its predecessor still on the wire (both
+// epoch-dropped), then comes back up with packets still buffered.
+//
+// The long flap lands inside a random-phase backlog (the window was
+// picked so it holds for every discipline) and rejects the offers that
+// arrive while it is down. The short flap is a fixed scene once the
+// random phase has drained, loss off: a same-rank burst of one 200 B,
+// one 1500 B and six 200 B packets. The link goes down 2 us in, while
+// the 1500 B packet serializes and the first one propagates, and comes
+// back up at 4 us, after the stale arrival but 9.6 us before the stale
+// serialization finish. The restarted chain's first finish is earlier
+// than that, so the drain timer is re-pointed.
+constexpr TimeNs kLongFlapDown = 420'500;
+constexpr TimeNs kLongFlapUp = kLongFlapDown + microseconds(30);
+constexpr TimeNs kShortFlapScene = microseconds(1500);
+
 RunRecord run_script(std::unique_ptr<sched::Scheduler> queue,
                      Simulator::SimCore mode) {
   Simulator sim;
@@ -83,6 +108,30 @@ RunRecord run_script(std::unique_ptr<sched::Scheduler> queue,
                                             p.size_bytes);
               }
             });
+
+  link.set_fault_seed(6);
+  link.set_loss(0.03, 0.03);
+  sim.at(kLongFlapDown, [&] {
+    rec.backlog_at_down = link.queue().size();
+    link.set_up(false);
+  });
+  sim.at(kLongFlapUp, [&link] { link.set_up(true); });
+  sim.at(kShortFlapScene, [&link] {
+    link.set_loss(0.0, 0.0);
+    std::vector<Packet> burst;
+    for (const std::int32_t size :
+         {200, 1500, 200, 200, 200, 200, 200, 200}) {
+      Packet p;
+      p.flow = 9;
+      p.size_bytes = size;
+      p.rank = 7;
+      p.original_rank = p.rank;
+      burst.push_back(p);
+    }
+    link.transmit_burst(std::span<Packet>(burst));
+  });
+  sim.at(kShortFlapScene + microseconds(2), [&link] { link.set_up(false); });
+  sim.at(kShortFlapScene + microseconds(4), [&link] { link.set_up(true); });
 
   Rng rng{0x5eed0f00dull};
   TimeNs at = 0;
@@ -119,6 +168,10 @@ RunRecord run_script(std::unique_ptr<sched::Scheduler> queue,
   rec.dropped = c.dropped;
   rec.dropped_bytes = c.dropped_bytes;
   rec.bytes_transmitted = link.bytes_transmitted();
+  rec.mean_queue_bytes = link.mean_queue_bytes(sim.now());
+  rec.utilization = link.utilization(sim.now());
+  rec.faults = link.fault_counters();
+  rec.scheduled_wheel = sim.wheel_stats().scheduled_wheel;
   return rec;
 }
 
@@ -136,20 +189,35 @@ void expect_engines_identical(
   for (std::size_t i = 0; i < over.deliveries.size(); ++i) {
     EXPECT_EQ(over.deliveries[i], ref.deliveries[i]) << "delivery " << i;
   }
-  // events_processed is exported into metrics.json, so the coalesced
-  // engine must count inline-replayed sub-steps exactly like the
-  // reference dispatches them.
+  // events_processed is exported into metrics.json: one drain-timer
+  // fire per sub-step must count exactly like the reference's events.
   EXPECT_EQ(over.events_processed, ref.events_processed);
   EXPECT_EQ(over.enqueued, ref.enqueued);
   EXPECT_EQ(over.dequeued, ref.dequeued);
   EXPECT_EQ(over.dropped, ref.dropped);
   EXPECT_EQ(over.dropped_bytes, ref.dropped_bytes);
   EXPECT_EQ(over.bytes_transmitted, ref.bytes_transmitted);
+  EXPECT_EQ(over.mean_queue_bytes, ref.mean_queue_bytes);
+  EXPECT_EQ(over.utilization, ref.utilization);
+  EXPECT_EQ(over.faults.offered_while_down, ref.faults.offered_while_down);
+  EXPECT_EQ(over.faults.inflight_dropped, ref.faults.inflight_dropped);
+  EXPECT_EQ(over.faults.inflight_dropped_bytes,
+            ref.faults.inflight_dropped_bytes);
+  EXPECT_EQ(over.faults.lost, ref.faults.lost);
+  EXPECT_EQ(over.faults.corrupted, ref.faults.corrupted);
+  EXPECT_EQ(over.backlog_at_down, ref.backlog_at_down);
   // The script is tuned to actually exercise the interesting paths:
-  // a real backlog (coalescing has work to do) and real drops (the
-  // drop policy is part of the comparison).
+  // a real backlog, real queue drops (the drop policy is part of the
+  // comparison), random loss and corruption, and flaps that cut a
+  // serializing and a propagating packet (>= 2 in-flight drops per
+  // flap) while packets stay buffered across the outage.
   EXPECT_GT(over.deliveries.size(), 40u);
   EXPECT_GT(over.dropped, 0u);
+  EXPECT_GT(over.faults.lost, 0u);
+  EXPECT_GT(over.faults.corrupted, 0u);
+  EXPECT_GT(over.faults.offered_while_down, 0u);
+  EXPECT_GE(over.faults.inflight_dropped, 4u);
+  EXPECT_GT(over.backlog_at_down, 0u);
 }
 
 // 12 kB shared buffer: ~8 full-size packets, small enough that the
@@ -204,26 +272,19 @@ TEST(SimCoreDifferential, StrictPriority) {
   });
 }
 
-TEST(SimCoreDifferential, CoalescingActuallyEngages) {
+TEST(SimCoreDifferential, EnginesReallyDiffer) {
   // Guard against the differential suite silently comparing two
-  // identical per-event runs: a saturated FIFO backlog must produce
-  // multi-packet coalesced drains, visible as inline replays.
-  Simulator sim;
-  sim.set_simcore(Simulator::SimCore::kOverhauled);
-  std::size_t delivered = 0;
-  Link link(sim, gbps(1), 0, std::make_unique<sched::FifoQueue>(),
-            [&](std::span<const Packet> batch) { delivered += batch.size(); });
-  Packet p;
-  p.flow = 1;
-  p.size_bytes = 1500;
-  for (int i = 0; i < 64; ++i) link.transmit(p);
-  sim.run();
-  EXPECT_EQ(delivered, 64u);
-  EXPECT_GT(sim.events_replayed(), 0u);
-  // The reference engine never replays inline.
-  Simulator ref;
-  ref.set_simcore(Simulator::SimCore::kPerEventReference);
-  EXPECT_EQ(ref.events_replayed(), 0u);
+  // identical reference runs: on the same script, the overhauled
+  // engine queues its drain timers on the timing wheel while the
+  // reference routes every event through the heap.
+  const RunRecord over =
+      run_script(std::make_unique<sched::FifoQueue>(kBuffer),
+                 Simulator::SimCore::kOverhauled);
+  const RunRecord ref =
+      run_script(std::make_unique<sched::FifoQueue>(kBuffer),
+                 Simulator::SimCore::kPerEventReference);
+  EXPECT_GT(over.scheduled_wheel, 0u);
+  EXPECT_EQ(ref.scheduled_wheel, 0u);
 }
 
 }  // namespace
